@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark): per-slot cost of every scheduler's
-// allocate() on a synthetic snapshot, and of the two EMA slot solvers in
+// allocate_into() on a synthetic snapshot, and of the two EMA slot solvers in
 // isolation. Establishes that the gateway decision loop comfortably fits the
 // paper's 1 s slot budget.
 #include <benchmark/benchmark.h>
@@ -56,8 +56,9 @@ void bench_scheduler(benchmark::State& state, const std::string& name) {
   const SlotContext ctx = make_context(users, link, radio);
   auto scheduler = make_scheduler(name);
   scheduler->reset(users);
+  Allocation alloc;
   for (auto _ : state) {
-    Allocation alloc = scheduler->allocate(ctx);
+    scheduler->allocate_into(ctx, alloc);
     benchmark::DoNotOptimize(alloc.units.data());
   }
   state.SetItemsProcessed(state.iterations() *

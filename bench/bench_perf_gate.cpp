@@ -1,47 +1,41 @@
 // Perf regression gate for the slot engine (see docs/PERFORMANCE.md).
 //
-// Seven measurement families, all on pinned deterministic workloads:
+// Six measurement families, all on pinned deterministic workloads:
 //
-//  1. Solver microbench: the production EMA DP (cold and warm),
-//     the PR2 monotone-deque DP it replaced, and the paper-literal
+//  1. Solver microbench: the production EMA solver against the paper-literal
 //     O(N*M*phi_max) reference on the same instances. The gate requires the
-//     cold production solver >= 5x over the reference at N = 40 users with
+//     production solver >= 5x over the reference at N = 40 users with
 //     M >= 200 capacity units (the paper's evaluation scale).
 //  2. Slot-path matrix: end-to-end Framework::run_slot cost (mean ns/slot
 //     with a 95% Student-t confidence half-width, both the per-run
 //     SignalModel path and the campaign engine's cached-trace path), the
 //     scheduler decision alone (ns/solve), and heap allocations per slot for
-//     N in {40, 200, 1000} x {default, rtma, ema-fast, ema}. The PR6
-//     tentpole gate lives here: exact EMA at N = 1000 must run under
-//     1 ms/slot. This binary replaces the global operator new to count
-//     allocations.
-//  3. Certified coarsening: the same slot path with EmaConfig::coarsen_units
-//     = 8, reporting the scheduler's SolveCertificate (exact vs certified
-//     slots, max/mean certified gap). bench_theorem1_bounds compares these
-//     gaps against the Theorem 1 drift bound B; here they are pinned so
-//     regressions in the certificate itself are visible.
-//  4. Campaign gate: a 7-scheduler x 8-seed grid at N = 200 over the full
+//     N in {40, 200, 1000} x {default, rtma, ema-fast, ema}. Two gates live
+//     here: exact EMA at N = 1000 must run under 1 ms/slot, and every row
+//     must allocate nothing in its measured window. This binary replaces the
+//     global operator new to count allocations.
+//  3. Campaign gate: a 7-scheduler x 8-seed grid at N = 200 over the full
 //     10000-slot horizon, run once with per-cell trace regeneration and once
 //     through the shared trace cache. Cached results must be bit-identical,
 //     and (at the full horizon; REPRO_SLOTS runs report only) >= 3x faster.
-//  5. Distributed gate: the same workload shape at 4 seeds, sharded over 4
+//  4. Distributed gate: the same workload shape at 4 seeds, sharded over 4
 //     worker processes through run_campaign_distributed. The merged results
 //     must hash (xxh64 over the canonical frame encoding) to exactly the
 //     serial engine's digest — enforced at every scale, since determinism
 //     does not depend on timing. The wall-clock ratio is reported for
 //     context only (it tracks core count, which CI does not pin).
-//  6. Disk-warm gate: a trace-bound grid (short sessions, full-horizon
+//  5. Disk-warm gate: a trace-bound grid (short sessions, full-horizon
 //     substrate) run cold against an empty persistent TraceStore and then
 //     again with a fresh cache over the now-warm store. The warm pass must
 //     regenerate nothing (generations == 0, every miss promoted from mmap)
 //     at every scale, and at the full horizon must beat the cold pass by
 //     >= 3x wall clock.
-//  7. Service-scale gate: one trace-less 110k-population service run (the
+//  6. Service-scale gate: one trace-less 110k-population service run (the
 //     numbers bench_service_steady part 3 reports): ns/user-slot ceiling,
 //     RSS at the horizon <= 1.5x RSS after the fill, and the sustained
 //     >= 100k concurrency floor, all enforced at full scale.
 //
-// Results land in BENCH_PR9.json (override with --out <path>); the JSON
+// Results land in BENCH_PR14.json (override with --out <path>); the JSON
 // schema is documented in docs/PERFORMANCE.md. REPRO_SLOTS in the
 // environment shrinks every loop for smoke runs. The paper-invariant
 // validator must stay at its compiled-out-of-the-hot-path default here: the
@@ -140,7 +134,7 @@ std::int64_t repro_slots() {
 }
 
 // ---------------------------------------------------------------------------
-// Solver microbench: production DP (cold + warm) vs deque DP vs reference DP.
+// Solver microbench: production solver vs the reference DP.
 // ---------------------------------------------------------------------------
 
 struct SolverInstance {
@@ -182,12 +176,9 @@ struct SolverResult {
   std::int64_t capacity_units = 0;
   std::int64_t fast_iters = 0;
   std::int64_t reference_iters = 0;
-  double cold_ns_per_solve = 0.0;   ///< production DP, warm-start state dropped per solve
-  double warm_ns_per_solve = 0.0;   ///< production DP, tail-drift sequence (resume engages)
-  double deque_ns_per_solve = 0.0;  ///< the PR2 monotone-deque solver (before)
+  double ns_per_solve = 0.0;  ///< production solver
   double reference_ns_per_solve = 0.0;
-  double speedup = 0.0;             ///< cold production DP vs reference (gated)
-  double speedup_vs_deque = 0.0;    ///< cold production DP vs deque (the PR delta)
+  double speedup = 0.0;       ///< production solver vs reference (gated)
 };
 
 SolverResult bench_solver(std::size_t users, std::int64_t capacity,
@@ -198,47 +189,26 @@ SolverResult bench_solver(std::size_t users, std::int64_t capacity,
   result.fast_iters = fast_iters;
   result.reference_iters = ref_iters;
 
-  SolverInstance inst = make_solver_instance(users, capacity, 40, 0xbeef + users);
+  const SolverInstance inst = make_solver_instance(users, capacity, 40, 0xbeef + users);
   EmaDpWorkspace ws;
-  EmaDpWorkspace deque_ws;
   Allocation out;
 
-  // Warm all paths and check they agree before trusting the timings.
+  // Warm both paths and check they agree before trusting the timings.
   solve_min_cost_dp(inst.costs, inst.caps, inst.capacity, ws, out);
   const double fast_cost = allocation_cost(inst.costs, out);
-  solve_min_cost_dp_deque(inst.costs, inst.caps, inst.capacity, deque_ws, out);
-  const double deque_cost = allocation_cost(inst.costs, out);
   const Allocation ref = solve_min_cost_dp_reference(inst.costs, inst.caps, inst.capacity);
   const double ref_cost = allocation_cost(inst.costs, ref);
-  require(std::abs(fast_cost - ref_cost) < 1e-9 && std::abs(deque_cost - ref_cost) < 1e-9,
+  require(std::abs(fast_cost - ref_cost) < 1e-9,
           "solvers disagree; timings are meaningless");
 
-  // Cold: drop the memo/checkpoint state every iteration so the measured cost
-  // is a full DP solve, not a reuse-layer replay.
-  result.cold_ns_per_solve = time_ns_per_iter(fast_iters, [&] {
-    ws.invalidate();
+  result.ns_per_solve = time_ns_per_iter(fast_iters, [&] {
     solve_min_cost_dp(inst.costs, inst.caps, inst.capacity, ws, out);
-  });
-  // Warm: a drifting-tail sequence (the last user's queue term moves each
-  // slot), the shape the scheduler's cross-slot reuse is built for.
-  double tail_drift = 0.0;
-  const std::size_t last = users - 1;
-  const double base_slope = inst.costs.slope[last];
-  result.warm_ns_per_solve = time_ns_per_iter(fast_iters, [&] {
-    tail_drift += 1e-6;
-    inst.costs.slope[last] = base_slope + tail_drift;
-    solve_min_cost_dp(inst.costs, inst.caps, inst.capacity, ws, out);
-  });
-  inst.costs.slope[last] = base_slope;
-  result.deque_ns_per_solve = time_ns_per_iter(fast_iters, [&] {
-    solve_min_cost_dp_deque(inst.costs, inst.caps, inst.capacity, deque_ws, out);
   });
   result.reference_ns_per_solve = time_ns_per_iter(ref_iters, [&] {
     const Allocation r = solve_min_cost_dp_reference(inst.costs, inst.caps, inst.capacity);
     if (r.units.empty()) std::abort();  // keep the call observable
   });
-  result.speedup = result.reference_ns_per_solve / result.cold_ns_per_solve;
-  result.speedup_vs_deque = result.deque_ns_per_solve / result.cold_ns_per_solve;
+  result.speedup = result.reference_ns_per_solve / result.ns_per_solve;
   return result;
 }
 
@@ -249,19 +219,12 @@ SolverResult bench_solver(std::size_t users, std::int64_t capacity,
 struct SlotCase {
   std::string scheduler;
   std::size_t users = 0;
-  std::int64_t coarsen_units = 1;
   std::int64_t measured_slots = 0;
   double ns_per_slot = 0.0;
   double ns_per_slot_ci95 = 0.0;    ///< Student-t 95% half-width of the mean
   double ns_per_slot_traced = 0.0;  ///< same slots against the cached substrate
   double ns_per_solve = 0.0;
   double allocs_per_slot = 0.0;
-  // Coarsened-mode certificate over the warmup+measured window (coarsen > 1).
-  bool has_certificate = false;
-  double cert_gap_max = 0.0;
-  double cert_gap_mean = 0.0;
-  std::int64_t cert_exact_slots = 0;
-  std::int64_t cert_certified_slots = 0;
 };
 
 /// Times `count` calls of `body` individually, filling `samples_ns`.
@@ -285,11 +248,10 @@ double ci95_halfwidth(const Summary& s) {
 
 SlotCase bench_slot_path(const std::string& scheduler_name, std::size_t users,
                          std::int64_t warmup, std::int64_t measured,
-                         std::int64_t solve_iters, std::int64_t coarsen_units) {
+                         std::int64_t solve_iters) {
   SlotCase result;
   result.scheduler = scheduler_name;
   result.users = users;
-  result.coarsen_units = coarsen_units;
   result.measured_slots = measured;
 
   ScenarioConfig scenario = paper_scenario(users, 42);
@@ -298,7 +260,6 @@ SlotCase bench_slot_path(const std::string& scheduler_name, std::size_t users,
   const BaseStation bs(capacity_profile(scenario));
   SchedulerOptions options;
   options.ema.v_weight = 0.05;
-  options.ema.coarsen_units = coarsen_units;
   Framework framework(InfoCollector(scenario.slot, scenario.link, scenario.radio),
                       make_scheduler(scheduler_name, options),
                       SchedulingMode::kEnergyMinimization, users);
@@ -323,17 +284,6 @@ SlotCase bench_slot_path(const std::string& scheduler_name, std::size_t users,
   result.ns_per_slot_ci95 = ci95_halfwidth(summary);
   result.allocs_per_slot = as_double(allocs_after - allocs_before) /
                            as_double(measured);
-
-  if (const SolveCertificate* cert = framework.scheduler().solve_certificate()) {
-    result.has_certificate = coarsen_units > 1;
-    result.cert_gap_max = cert->gap_max;
-    const std::int64_t certified = cert->certified_slots;
-    result.cert_gap_mean = certified > 0
-                               ? cert->gap_sum / as_double(certified)
-                               : 0.0;
-    result.cert_exact_slots = cert->exact_slots;
-    result.cert_certified_slots = certified;
-  }
 
   // Same slots against the campaign engine's cached substrate: fresh
   // endpoints reading signal/throughput/energy out of the precomputed
@@ -669,7 +619,7 @@ ServiceScaleResult bench_service_scale(bool full, std::int64_t horizon) {
 // ---------------------------------------------------------------------------
 
 int run(int argc, const char* const* argv) {
-  std::string out_path = "BENCH_PR9.json";
+  std::string out_path = "BENCH_PR14.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--out" && i + 1 < argc) {
@@ -685,18 +635,15 @@ int run(int argc, const char* const* argv) {
 
   // Solver gate: paper scale (N = 40, M = 250 >= 200), the campaign scale,
   // and the tentpole scale (N = 1000, M = 5000).
-  std::printf("solver microbench (production DP cold/warm vs deque DP vs reference)\n");
+  std::printf("solver microbench (production solver vs reference DP)\n");
   std::vector<SolverResult> solver_results;
   solver_results.push_back(bench_solver(40, 250, clamp(2000), clamp(200)));
   solver_results.push_back(bench_solver(200, 1000, clamp(200), clamp(20)));
   solver_results.push_back(bench_solver(1000, 5000, clamp(50), clamp(3)));
   for (const SolverResult& r : solver_results) {
-    std::printf(
-        "  N=%-4zu M=%-5lld cold %9.0f ns   warm %9.0f ns   deque %10.0f ns   "
-        "reference %12.0f ns   vs-ref %7.1fx   vs-deque %5.1fx\n",
-        r.users, static_cast<long long>(r.capacity_units), r.cold_ns_per_solve,
-        r.warm_ns_per_solve, r.deque_ns_per_solve, r.reference_ns_per_solve,
-        r.speedup, r.speedup_vs_deque);
+    std::printf("  N=%-4zu M=%-5lld production %9.0f ns   reference %12.0f ns   %7.1fx\n",
+                r.users, static_cast<long long>(r.capacity_units), r.ns_per_solve,
+                r.reference_ns_per_solve, r.speedup);
   }
 
   constexpr double kMinSpeedup = 5.0;
@@ -707,6 +654,7 @@ int run(int argc, const char* const* argv) {
   const std::vector<std::size_t> populations{40, 200, 1000};
   const std::vector<std::string> schedulers{"default", "rtma", "ema-fast", "ema"};
   double ema_1000_ns_per_slot = -1.0;
+  double max_allocs_per_slot = 0.0;
   for (const std::size_t users : populations) {
     // Measured windows sized so every row — N = 1000 included — reports a
     // meaningful 95% CI while the whole matrix stays minutes.
@@ -714,10 +662,10 @@ int run(int argc, const char* const* argv) {
     const std::int64_t warmup = clamp(20);
     const std::int64_t solve_iters = clamp(users == 1000 ? 20 : 50);
     for (const std::string& name : schedulers) {
-      slot_cases.push_back(bench_slot_path(name, users, warmup, measured,
-                                           solve_iters, /*coarsen_units=*/1));
+      slot_cases.push_back(bench_slot_path(name, users, warmup, measured, solve_iters));
       const SlotCase& c = slot_cases.back();
       if (name == "ema" && users == 1000) ema_1000_ns_per_slot = c.ns_per_slot;
+      max_allocs_per_slot = std::max(max_allocs_per_slot, c.allocs_per_slot);
       std::printf(
           "  %-9s N=%-4zu %11.0f +-%8.0f ns/slot %11.0f ns/slot(traced) %11.0f "
           "ns/solve %7.2f allocs/slot\n",
@@ -734,25 +682,9 @@ int run(int argc, const char* const* argv) {
       !ema_gate_enforced ||
       (ema_1000_ns_per_slot > 0.0 && ema_1000_ns_per_slot < kMaxEmaNsPerSlot);
 
-  // Certified coarsening rows: same slot path, EMA with coarsen_units = 8.
-  // At N = 200 capacity binds on a meaningful fraction of slots, so the DP
-  // runs coarse and the certificate is exercised; at N = 1000 the separable
-  // shortcut keeps the solve exact (gap 0) — both facts are pinned here.
-  std::printf("certified coarsening (ema, coarsen_units=8)\n");
-  std::vector<SlotCase> coarse_cases;
-  for (const std::size_t users : {std::size_t{200}, std::size_t{1000}}) {
-    const std::int64_t measured = clamp(users == 200 ? 120 : 160);
-    coarse_cases.push_back(bench_slot_path("ema", users, clamp(20), measured,
-                                           clamp(20), /*coarsen_units=*/8));
-    const SlotCase& c = coarse_cases.back();
-    std::printf(
-        "  ema-k8    N=%-4zu %11.0f +-%8.0f ns/slot   gap max %.3e mean %.3e   "
-        "%lld exact / %lld certified slots\n",
-        c.users, c.ns_per_slot, c.ns_per_slot_ci95, c.cert_gap_max,
-        c.cert_gap_mean, static_cast<long long>(c.cert_exact_slots),
-        static_cast<long long>(c.cert_certified_slots));
-    require(c.cert_gap_max >= 0.0, "certified gap must be non-negative");
-  }
+  // Allocation gate: the steady-state slot path allocates nothing. Counts are
+  // deterministic, so this gate is enforced at every scale.
+  const bool alloc_gate_pass = max_allocs_per_slot == 0.0;
 
   // Campaign gate: amortizing trace generation across the grid must pay off.
   // REPRO_SLOTS shrinks the horizon so far that the sims dominate and the
@@ -832,26 +764,18 @@ int run(int argc, const char* const* argv) {
 
   const auto emit_slot_case = [](std::ofstream& json, const SlotCase& c) {
     json << "    {\"scheduler\": \"" << c.scheduler << "\", \"users\": " << c.users
-         << ", \"coarsen_units\": " << c.coarsen_units
          << ", \"measured_slots\": " << c.measured_slots
          << ", \"ns_per_slot\": " << c.ns_per_slot
          << ", \"ns_per_slot_ci95\": " << c.ns_per_slot_ci95
          << ", \"ns_per_slot_traced\": " << c.ns_per_slot_traced
          << ", \"ns_per_solve\": " << c.ns_per_solve
-         << ", \"allocs_per_slot\": " << c.allocs_per_slot;
-    if (c.has_certificate) {
-      json << ", \"cert_gap_max\": " << c.cert_gap_max
-           << ", \"cert_gap_mean\": " << c.cert_gap_mean
-           << ", \"cert_exact_slots\": " << c.cert_exact_slots
-           << ", \"cert_certified_slots\": " << c.cert_certified_slots;
-    }
-    json << "}";
+         << ", \"allocs_per_slot\": " << c.allocs_per_slot << "}";
   };
 
   std::ofstream json(out_path);
   require(json.good(), "cannot open perf-gate output file");
   json << "{\n";
-  json << "  \"schema\": \"jstream-perf-gate-v4\",\n";
+  json << "  \"schema\": \"jstream-perf-gate-v5\",\n";
   json << "  \"workload\": \"paper_scenario(users, seed=42), capacity 500 KB/s per user\",\n";
   json << "  \"gate\": {\"metric\": \"solver[0].speedup_vs_reference\", \"min_speedup\": "
        << kMinSpeedup << ", \"pass\": " << (solver_gate_pass ? "true" : "false") << "},\n";
@@ -860,6 +784,11 @@ int run(int argc, const char* const* argv) {
        << ", \"measured_ns_per_slot\": " << ema_1000_ns_per_slot
        << ", \"enforced\": " << (ema_gate_enforced ? "true" : "false")
        << ", \"pass\": " << (ema_gate_pass ? "true" : "false") << "},\n";
+  json << "  \"alloc_gate\": {\"metric\": \"max(slot_path[*].allocs_per_slot)\", "
+       << "\"max_allocs_per_slot\": 0"
+       << ", \"measured_allocs_per_slot\": " << max_allocs_per_slot
+       << ", \"enforced\": true, \"pass\": " << (alloc_gate_pass ? "true" : "false")
+       << "},\n";
   json << "  \"campaign_gate\": {\"metric\": \"campaign.speedup_cached_vs_uncached\", "
        << "\"min_speedup\": " << kMinCampaignSpeedup
        << ", \"enforced\": " << (campaign_enforced ? "true" : "false")
@@ -920,12 +849,9 @@ int run(int argc, const char* const* argv) {
     json << "    {\"users\": " << r.users << ", \"capacity_units\": " << r.capacity_units
          << ", \"fast_iters\": " << r.fast_iters
          << ", \"reference_iters\": " << r.reference_iters
-         << ", \"cold_ns_per_solve\": " << r.cold_ns_per_solve
-         << ", \"warm_ns_per_solve\": " << r.warm_ns_per_solve
-         << ", \"deque_ns_per_solve\": " << r.deque_ns_per_solve
+         << ", \"ns_per_solve\": " << r.ns_per_solve
          << ", \"reference_ns_per_solve\": " << r.reference_ns_per_solve
-         << ", \"speedup_vs_reference\": " << r.speedup
-         << ", \"speedup_vs_deque\": " << r.speedup_vs_deque << "}"
+         << ", \"speedup_vs_reference\": " << r.speedup << "}"
          << (i + 1 < solver_results.size() ? "," : "") << "\n";
   }
   json << "  ],\n";
@@ -933,12 +859,6 @@ int run(int argc, const char* const* argv) {
   for (std::size_t i = 0; i < slot_cases.size(); ++i) {
     emit_slot_case(json, slot_cases[i]);
     json << (i + 1 < slot_cases.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n";
-  json << "  \"coarsened\": [\n";
-  for (std::size_t i = 0; i < coarse_cases.size(); ++i) {
-    emit_slot_case(json, coarse_cases[i]);
-    json << (i + 1 < coarse_cases.size() ? "," : "") << "\n";
   }
   json << "  ]\n";
   json << "}\n";
@@ -955,6 +875,13 @@ int run(int argc, const char* const* argv) {
     std::fprintf(stderr,
                  "PERF GATE FAILED: exact EMA %.0f ns/slot >= %.0f ns/slot at N=1000\n",
                  ema_1000_ns_per_slot, kMaxEmaNsPerSlot);
+    return 1;
+  }
+  if (!alloc_gate_pass) {
+    std::fprintf(stderr,
+                 "PERF GATE FAILED: a slot-path row allocates %.2f times per slot "
+                 "in steady state (must be 0)\n",
+                 max_allocs_per_slot);
     return 1;
   }
   if (!campaign_pass) {
@@ -991,7 +918,8 @@ int run(int argc, const char* const* argv) {
     return 1;
   }
   std::printf(
-      "perf gate passed (solver %.1fx >= %.1fx; ema N=1000 %s; campaign %.2fx%s; "
+      "perf gate passed (solver %.1fx >= %.1fx; ema N=1000 %s; 0 allocs/slot; "
+      "campaign %.2fx%s; "
       "4-shard bit-identical; disk-warm %.2fx%s; service scale %s)\n",
       solver_results.front().speedup, kMinSpeedup,
       ema_gate_enforced ? "< 1 ms/slot" : "informational under REPRO_SLOTS",

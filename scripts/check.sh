@@ -92,16 +92,17 @@ else
 fi
 
 if [[ "${SKIP_PERF:-0}" != 1 ]]; then
-  stage "6/7 perf gate (bench_perf_gate -> BENCH_PR9.json)"
+  stage "6/7 perf gate (bench_perf_gate -> BENCH_PR14.json)"
   # Enforces the pinned regression gates: the exact-EMA solver >= 5x over the
-  # paper-literal DP, exact EMA < 1 ms/slot end-to-end at N = 1000, the
-  # campaign cache >= 3x on the full grid, the 4-shard multi-process merge
-  # bit-identical to serial, the disk-warm trace-store rerun (zero
-  # regenerations always; >= 3x at full scale), and the 110k-session
-  # service-scale bounds. With REPRO_SLOTS set the timing/scale gates turn
-  # informational (the binary still verifies solver agreement, certificate
-  # sanity, and both bit-identity gates); unset it for the real gate.
-  build/bench/bench_perf_gate --out build/BENCH_PR9.json
+  # paper-literal DP, exact EMA < 1 ms/slot end-to-end at N = 1000, zero
+  # steady-state allocations in every slot-path row, the campaign cache >= 3x
+  # on the full grid, the 4-shard multi-process merge bit-identical to
+  # serial, the disk-warm trace-store rerun (zero regenerations always; >= 3x
+  # at full scale), and the 110k-session service-scale bounds. With
+  # REPRO_SLOTS set the timing/scale gates turn informational (the binary
+  # still verifies solver agreement, the allocation gate, and both
+  # bit-identity gates); unset it for the real gate.
+  build/bench/bench_perf_gate --out build/BENCH_PR14.json
 else
   stage "6/7 perf gate — SKIPPED (SKIP_PERF=1)"
 fi

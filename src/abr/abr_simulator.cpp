@@ -111,6 +111,7 @@ AbrRunMetrics simulate_abr(const AbrScenarioConfig& config,
   const std::int64_t tail_flush =
       ceil_to_count(base.radio.tail_duration_s() / base.slot.tau_s) + 1;
   std::int64_t idle_streak = 0;
+  Allocation alloc;
 
   for (std::int64_t slot = 0; slot < base.max_slots; ++slot) {
     ++metrics.slots_run;
@@ -148,7 +149,7 @@ AbrRunMetrics simulate_abr(const AbrScenarioConfig& config,
     }
     ctx.finalize();
 
-    const Allocation alloc = scheduler->allocate(ctx);
+    scheduler->allocate_into(ctx, alloc);
     std::vector<std::int64_t> caps;
     for (const auto& info : ctx.users) caps.push_back(info.alloc_cap_units);
     require_feasible(alloc, caps, ctx.capacity_units);

@@ -91,22 +91,6 @@ void InvariantChecker::reset(std::string scheduler_name, std::size_t users) {
   last_slot_ = -1;
 }
 
-void InvariantChecker::check_certificate(std::int64_t slot, double gap) {
-  // A certificate is a claimed upper bound on the slot's optimality error;
-  // NaN/negative/infinite values mean the solver's bookkeeping is broken, and
-  // a gap above the configured Theorem 1 budget means the approximation has
-  // left the region where the paper's PE bound still holds.
-  if (!(gap >= 0.0) || gap == std::numeric_limits<double>::infinity()) {
-    raise("Thm. 1", slot, -1,
-          "certified gap must be finite and non-negative, got " + std::to_string(gap));
-  }
-  if (gap > gap_budget_) {
-    raise("Thm. 1", slot, -1,
-          "certified optimality gap " + std::to_string(gap) +
-              " exceeds the drift-bound budget B=" + std::to_string(gap_budget_));
-  }
-}
-
 void InvariantChecker::check_allocation(const SlotContext& ctx, const Allocation& alloc,
                                         std::span<const double> queues) {
   const std::size_t n = ctx.user_count();

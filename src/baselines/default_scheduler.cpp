@@ -9,12 +9,6 @@ namespace jstream {
 
 void DefaultScheduler::reset(std::size_t /*users*/) {}
 
-Allocation DefaultScheduler::allocate(const SlotContext& ctx) {
-  Allocation alloc;
-  allocate_into(ctx, alloc);
-  return alloc;
-}
-
 // jstream: hot-path — per-slot allocation; recycles out.units.
 void DefaultScheduler::allocate_into(const SlotContext& ctx, Allocation& out) {
   const std::size_t n = ctx.user_count();

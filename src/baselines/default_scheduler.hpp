@@ -18,7 +18,6 @@ class DefaultScheduler final : public Scheduler {
  public:
   [[nodiscard]] std::string name() const override { return "default"; }
   void reset(std::size_t users) override;
-  [[nodiscard]] Allocation allocate(const SlotContext& ctx) override;
   void allocate_into(const SlotContext& ctx, Allocation& out) override;
 };
 

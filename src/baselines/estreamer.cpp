@@ -18,11 +18,12 @@ EStreamerScheduler::EStreamerScheduler(Params params) : params_(params) {
 
 void EStreamerScheduler::reset(std::size_t users) { bursting_.assign(users, true); }
 
-Allocation EStreamerScheduler::allocate(const SlotContext& ctx) {
+// jstream: hot-path — per-slot allocation; recycles out.units.
+void EStreamerScheduler::allocate_into(const SlotContext& ctx, Allocation& out) {
   require(bursting_.size() == ctx.user_count(),
           "EStreamer not reset for this user count");
   const std::size_t n = ctx.user_count();
-  Allocation alloc = Allocation::zeros(n);
+  out.units.assign(n, 0);
   std::int64_t remaining = ctx.capacity_units;
   const std::size_t start = 0;  // persistent per-flow dominance (see rotation.hpp)
   for (std::size_t k = 0; k < n; ++k) {
@@ -38,10 +39,9 @@ Allocation EStreamerScheduler::allocate(const SlotContext& ctx) {
         ceil_to_count(deficit_s * user.bitrate_kbps / ctx.params.delta_kb);
     const std::int64_t grant = std::min({wanted, user.alloc_cap_units, remaining});
     if (grant <= 0) continue;
-    alloc.units[i] = grant;
+    out.units[i] = grant;
     remaining -= grant;
   }
-  return alloc;
 }
 
 }  // namespace jstream

@@ -26,7 +26,7 @@ class EStreamerScheduler final : public Scheduler {
 
   [[nodiscard]] std::string name() const override { return "estreamer"; }
   void reset(std::size_t users) override;
-  [[nodiscard]] Allocation allocate(const SlotContext& ctx) override;
+  void allocate_into(const SlotContext& ctx, Allocation& out) override;
 
   [[nodiscard]] const Params& params() const noexcept { return params_; }
 

@@ -14,10 +14,11 @@ OnOffScheduler::OnOffScheduler(double low_watermark_s, double high_watermark_s)
 
 void OnOffScheduler::reset(std::size_t users) { on_.assign(users, true); }
 
-Allocation OnOffScheduler::allocate(const SlotContext& ctx) {
+// jstream: hot-path — per-slot allocation; recycles out.units.
+void OnOffScheduler::allocate_into(const SlotContext& ctx, Allocation& out) {
   require(on_.size() == ctx.user_count(), "ON-OFF not reset for this user count");
   const std::size_t n = ctx.user_count();
-  Allocation alloc = Allocation::zeros(n);
+  out.units.assign(n, 0);
   std::int64_t remaining = ctx.capacity_units;
   const std::size_t start = 0;  // persistent per-flow dominance (see rotation.hpp)
   for (std::size_t k = 0; k < n; ++k) {
@@ -29,10 +30,9 @@ Allocation OnOffScheduler::allocate(const SlotContext& ctx) {
     if (!on_[i] || remaining <= 0) continue;
     const std::int64_t grant = std::min(user.alloc_cap_units, remaining);
     if (grant <= 0) continue;
-    alloc.units[i] = grant;
+    out.units[i] = grant;
     remaining -= grant;
   }
-  return alloc;
 }
 
 }  // namespace jstream

@@ -21,7 +21,7 @@ class OnOffScheduler final : public Scheduler {
 
   [[nodiscard]] std::string name() const override { return "onoff"; }
   void reset(std::size_t users) override;
-  [[nodiscard]] Allocation allocate(const SlotContext& ctx) override;
+  void allocate_into(const SlotContext& ctx, Allocation& out) override;
 
   [[nodiscard]] double low_watermark_s() const noexcept { return low_s_; }
   [[nodiscard]] double high_watermark_s() const noexcept { return high_s_; }

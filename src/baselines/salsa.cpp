@@ -22,10 +22,11 @@ SalsaScheduler::SalsaScheduler(Params params) : params_(params) {
 
 void SalsaScheduler::reset(std::size_t users) { ewma_cost_.assign(users, 0.0); }
 
-Allocation SalsaScheduler::allocate(const SlotContext& ctx) {
+// jstream: hot-path — per-slot allocation; recycles out.units.
+void SalsaScheduler::allocate_into(const SlotContext& ctx, Allocation& out) {
   require(ewma_cost_.size() == ctx.user_count(), "SALSA not reset for this user count");
   const std::size_t n = ctx.user_count();
-  Allocation alloc = Allocation::zeros(n);
+  out.units.assign(n, 0);
   std::int64_t remaining = ctx.capacity_units;
   const std::size_t start = rotation_start(ctx.slot, n);
   for (std::size_t k = 0; k < n; ++k) {
@@ -47,10 +48,9 @@ Allocation SalsaScheduler::allocate(const SlotContext& ctx) {
         ceil_to_count(deficit_s * user.bitrate_kbps / ctx.params.delta_kb);
     const std::int64_t grant = std::min({wanted, user.alloc_cap_units, remaining});
     if (grant <= 0) continue;
-    alloc.units[i] = grant;
+    out.units[i] = grant;
     remaining -= grant;
   }
-  return alloc;
 }
 
 }  // namespace jstream

@@ -31,7 +31,7 @@ class SalsaScheduler final : public Scheduler {
 
   [[nodiscard]] std::string name() const override { return "salsa"; }
   void reset(std::size_t users) override;
-  [[nodiscard]] Allocation allocate(const SlotContext& ctx) override;
+  void allocate_into(const SlotContext& ctx, Allocation& out) override;
 
   [[nodiscard]] const Params& params() const noexcept { return params_; }
 

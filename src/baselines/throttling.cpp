@@ -14,9 +14,10 @@ ThrottlingScheduler::ThrottlingScheduler(double rate_factor) : rate_factor_(rate
 
 void ThrottlingScheduler::reset(std::size_t /*users*/) {}
 
-Allocation ThrottlingScheduler::allocate(const SlotContext& ctx) {
+// jstream: hot-path — per-slot allocation; recycles out.units.
+void ThrottlingScheduler::allocate_into(const SlotContext& ctx, Allocation& out) {
   const std::size_t n = ctx.user_count();
-  Allocation alloc = Allocation::zeros(n);
+  out.units.assign(n, 0);
   std::int64_t remaining = ctx.capacity_units;
   const std::size_t start = 0;  // persistent per-flow dominance (see rotation.hpp)
   for (std::size_t k = 0; k < n && remaining > 0; ++k) {
@@ -27,10 +28,9 @@ Allocation ThrottlingScheduler::allocate(const SlotContext& ctx) {
     const std::int64_t grant =
         std::min({paced, user.alloc_cap_units, remaining});
     if (grant <= 0) continue;
-    alloc.units[i] = grant;
+    out.units[i] = grant;
     remaining -= grant;
   }
-  return alloc;
 }
 
 }  // namespace jstream

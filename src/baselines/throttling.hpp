@@ -19,7 +19,7 @@ class ThrottlingScheduler final : public Scheduler {
 
   [[nodiscard]] std::string name() const override { return "throttling"; }
   void reset(std::size_t users) override;
-  [[nodiscard]] Allocation allocate(const SlotContext& ctx) override;
+  void allocate_into(const SlotContext& ctx, Allocation& out) override;
 
   [[nodiscard]] double rate_factor() const noexcept { return rate_factor_; }
 

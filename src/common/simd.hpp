@@ -1,4 +1,4 @@
-// Portability shim for the SIMD-friendly hot paths (the EMA block DP in
+// Portability shim for the SIMD-friendly hot paths (the EMA solver's rows in
 // src/core/ema.cpp and the SoA slot snapshot in src/gateway/slot_context.hpp).
 //
 // The kernels themselves are written as plain, branch-light loops over
@@ -14,8 +14,8 @@
 // The build adds target flags per translation unit (see src/core/CMakeLists:
 // ema.cpp is compiled with wider vector units when the compiler supports
 // them, always with FP contraction off — fused multiply-adds round
-// differently and would silently break the bit-identity contract between the
-// block solver, the deque solver, and the golden digests).
+// differently and would silently move the EMA decisions the golden digests
+// pin).
 #pragma once
 
 #include <cstddef>

@@ -38,12 +38,6 @@ void AdaptiveRtmaScheduler::reset(std::size_t users) {
   last_window_energy_mj_ = 0.0;
 }
 
-Allocation AdaptiveRtmaScheduler::allocate(const SlotContext& ctx) {
-  Allocation alloc;
-  allocate_into(ctx, alloc);
-  return alloc;
-}
-
 // jstream: hot-path — per-slot allocation over the inner RTMA.
 void AdaptiveRtmaScheduler::allocate_into(const SlotContext& ctx, Allocation& out) {
   inner_.allocate_into(ctx, out);

@@ -44,7 +44,6 @@ class AdaptiveRtmaScheduler final : public Scheduler {
 
   [[nodiscard]] std::string name() const override { return "rtma-adaptive"; }
   void reset(std::size_t users) override;
-  [[nodiscard]] Allocation allocate(const SlotContext& ctx) override;
   void allocate_into(const SlotContext& ctx, Allocation& out) override;
 
   /// Current budget Phi (mJ per served user-slot).

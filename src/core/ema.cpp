@@ -39,58 +39,39 @@ struct EmaTelemetry {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Largest phi value the int16 choice table can carry. Rows whose caps all
-/// fit use the narrow table, halving the DP's dominant write bandwidth.
-constexpr std::int64_t kNarrowChoiceMax = 32767;
-
 /// Relative tie margin of the separable fast path: decisions are taken
 /// separably only when every per-user comparison clears this fraction of the
 /// instance's total cost magnitude. The full DP's accumulated FP error is
 /// bounded by ~n*eps*scale (~2e-13*scale at n=1000), so any allocation that
 /// deviates from a margin-separated separable optimum costs strictly more in
-/// the DP's own arithmetic too — the fast path is bit-identical, not just
-/// approximately right. Near-tie instances fall back to the full DP.
+/// the DP's own arithmetic too — the fast path returns exactly the DP's
+/// allocation, not just one of equal cost. Near-tie instances fall back to
+/// the full DP.
 constexpr double kSeparableMarginRel = 1e-12;
 
-struct DpBound {
-  std::int64_t m_max = 0;   ///< min(capacity, sum caps): last reachable column
-  std::int64_t cap_max = 0; ///< largest per-user cap (choice-table width)
-};
-
-/// Common validation + bound computation for the DP entry points.
-DpBound dp_bound(const EmaSlotCosts& costs, std::span<const std::int64_t> caps,
-                 std::int64_t capacity_units) {
+/// Common validation for the DP entry points; returns the last reachable
+/// column m_max = min(capacity, sum caps).
+std::int64_t dp_columns(const EmaSlotCosts& costs, std::span<const std::int64_t> caps,
+                        std::int64_t capacity_units) {
   const std::size_t n = caps.size();
   require(costs.idle_cost.size() == n && costs.slope.size() == n &&
               costs.active_base.size() == n,
           "cost/cap size mismatch");
   require(capacity_units >= 0, "capacity must be non-negative");
   std::int64_t cap_sum = 0;
-  std::int64_t cap_max = 0;
   for (std::int64_t c : caps) {
     require(c >= 0, "caps must be non-negative");
     cap_sum += c;
-    cap_max = std::max(cap_max, c);
   }
-  return {std::min(capacity_units, cap_sum), cap_max};
-}
-
-/// Sum of the allocation's reduced costs (the DP objective).
-double total_cost(const EmaSlotCosts& costs, std::span<const std::int64_t> units) {
-  double total = 0.0;
-  for (std::size_t i = 0; i < units.size(); ++i) {
-    total += ema_cost(costs, i, units[i]);
-  }
-  return total;
+  return std::min(capacity_units, cap_sum);
 }
 
 /// Separable exact fast path. When the sum of unconstrained per-user optima
 /// fits under m_max, constraint (2) is slack at the optimum, the DP
 /// decomposes per user, and the answer is O(N). Every decision must clear a
 /// tie margin (see kSeparableMarginRel) or the caller falls back to the full
-/// DP, so the result — including all tie-breaks — is bit-identical to the
-/// deque/reference solvers. Writes into `out` (pre-zeroed); on false the
-/// caller must re-zero `out`.
+/// DP, so the result — including all tie-breaks — is exactly the DP's.
+/// Writes into `out` (pre-zeroed); on false the caller must re-zero `out`.
 bool try_separable(const EmaSlotCosts& costs, std::span<const std::int64_t> caps,
                    std::int64_t m_max, std::vector<std::int64_t>& out) {
   const std::size_t n = caps.size();
@@ -130,21 +111,17 @@ bool try_separable(const EmaSlotCosts& costs, std::span<const std::int64_t> caps
 }
 
 /// One DP row: sliding-window minimum over j in [m - cap, m - 1] of
-/// key(j) = prev[j] - slope*j via a monotone deque, ties kept at the larger j
-/// (smaller phi), candidate evaluated as prev[j] + base + slope*phi — the
-/// exact arithmetic and tie rules of solve_min_cost_dp_deque, so the result
-/// is bit-identical by construction. Templated on the choice-table element so
-/// cap_max <= 32767 rows write int16 cells, halving the dominant store
-/// bandwidth of the DP; restrict-qualified aligned lanes let the compiler
-/// keep the short special-case loops (cap 0/1) vectorized.
+/// key(j) = prev[j] - slope*j; the phi >= 1 candidate at column m is then
+/// prev[j*] + base + slope*(m - j*). Ties keep the larger j (smaller phi),
+/// matching the reference DP's ascending-phi strict-improvement scan. Keys
+/// live in dq_key parallel to the index deque so the push comparison needs no
+/// indirect load.
 ///
 /// A block prefix/suffix reformulation of the window minimum was measured
 /// here and lost to the deque (its running-min scans are serial dependences
-/// and its auxiliary arrays triple the memory traffic), so the deque kernel
-/// is the production row.
-template <typename ChoiceT>
+/// and its auxiliary arrays triple the memory traffic).
 void dp_row(const double* JSTREAM_RESTRICT prev, double* JSTREAM_RESTRICT cur,
-            ChoiceT* JSTREAM_RESTRICT g, std::size_t width, std::int64_t cap,
+            std::int32_t* JSTREAM_RESTRICT g, std::size_t width, std::int64_t cap,
             double idle, double base, double slope,
             double* JSTREAM_RESTRICT dq_key, std::int32_t* JSTREAM_RESTRICT dq) {
   cur[0] = prev[0] + idle;
@@ -158,10 +135,13 @@ void dp_row(const double* JSTREAM_RESTRICT prev, double* JSTREAM_RESTRICT cur,
     return;
   }
   if (cap == 1) {
-    // Window of one: the only active candidate at column m is phi = 1.
+    // Window of one: the only active candidate at column m is phi = 1, the
+    // same expression the deque would evaluate. Skipping the deque
+    // bookkeeping here is measurable on the fault sweep (docs/PERFORMANCE.md,
+    // section 2).
     for (std::size_t m = 1; m < width; ++m) {
       double best = prev[m] + idle;
-      ChoiceT best_phi = 0;
+      std::int32_t best_phi = 0;
       const double candidate = prev[m - 1] + base + slope * 1.0;
       if (candidate < best) {
         best = candidate;
@@ -187,13 +167,13 @@ void dp_row(const double* JSTREAM_RESTRICT prev, double* JSTREAM_RESTRICT cur,
     if (std::int64_t{dq[head]} < checked_index(m) - cap) ++head;
     prev_m = prev[m];
     double best = prev_m + idle;
-    ChoiceT best_phi = 0;
+    std::int32_t best_phi = 0;
     const auto j = checked_size(dq[head]);
-    const auto phi = m - j;
+    const auto phi = checked_index(m - j);
     const double candidate = prev[j] + base + slope * as_double(phi);
     if (candidate < best) {
       best = candidate;
-      best_phi = static_cast<ChoiceT>(phi);
+      best_phi = checked_i32(phi);
     }
     cur[m] = best;
     g[m] = best_phi;
@@ -201,9 +181,8 @@ void dp_row(const double* JSTREAM_RESTRICT prev, double* JSTREAM_RESTRICT cur,
 }
 
 /// Final-row argmin (smallest M on ties) + Algorithm 2 steps 15-18 backtrack.
-template <typename ChoiceT>
-void backtrack(const double* final_row, const std::vector<ChoiceT>& choice,
-               std::size_t n, std::size_t width, std::vector<std::int64_t>& out) {
+void backtrack(const double* final_row, const std::int32_t* choice, std::size_t n,
+               std::size_t width, std::vector<std::int64_t>& out) {
   std::size_t m = 0;
   for (std::size_t candidate = 1; candidate < width; ++candidate) {
     if (final_row[candidate] < final_row[m]) m = candidate;
@@ -213,37 +192,6 @@ void backtrack(const double* final_row, const std::vector<ChoiceT>& choice,
     out[i] = phi;
     m -= checked_size(phi);
   }
-}
-
-/// True when ws's memoized instance is value-identical to this one.
-bool same_instance(const EmaDpWorkspace& ws, const EmaSlotCosts& costs,
-                   std::span<const std::int64_t> caps, std::int64_t m_max) {
-  const std::size_t n = caps.size();
-  return ws.has_memo && ws.last_m_max == m_max && ws.last_caps.size() == n &&
-         std::equal(caps.begin(), caps.end(), ws.last_caps.begin()) &&
-         std::equal(costs.idle_cost.begin(), costs.idle_cost.end(),
-                    ws.last_idle.begin()) &&
-         std::equal(costs.active_base.begin(), costs.active_base.end(),
-                    ws.last_base.begin()) &&
-         std::equal(costs.slope.begin(), costs.slope.end(), ws.last_slope.begin());
-}
-
-void save_memo(EmaDpWorkspace& ws, const EmaSlotCosts& costs,
-               std::span<const std::int64_t> caps, std::int64_t m_max,
-               const std::vector<std::int64_t>& units) {
-  ws.last_idle.assign(costs.idle_cost.begin(), costs.idle_cost.end());
-  ws.last_base.assign(costs.active_base.begin(), costs.active_base.end());
-  ws.last_slope.assign(costs.slope.begin(), costs.slope.end());
-  ws.last_caps.assign(caps.begin(), caps.end());
-  ws.last_units.assign(units.begin(), units.end());
-  ws.last_m_max = m_max;
-  ws.has_memo = true;
-}
-
-/// Checkpoint spacing of the warm-start row cache: ~16 checkpoints per
-/// instance, never denser than every 64 rows.
-std::size_t checkpoint_stride(std::size_t n) {
-  return std::max<std::size_t>(64, n / 16);
 }
 
 }  // namespace
@@ -308,198 +256,60 @@ Allocation solve_min_cost_dp(const EmaSlotCosts& costs,
   return alloc;
 }
 
+void EmaDpWorkspace::reserve(std::size_t users, std::int64_t capacity_units) {
+  const std::size_t width = checked_size(std::max<std::int64_t>(capacity_units, 0)) + 1;
+  prev.reserve(width);
+  cur.reserve(width);
+  window_key.reserve(width);
+  deque.reserve(width);
+  choice.reserve(users * width);
+}
+
 void solve_min_cost_dp(const EmaSlotCosts& costs, std::span<const std::int64_t> caps,
                        std::int64_t capacity_units, EmaDpWorkspace& ws,
                        Allocation& out) {
   const std::size_t n = caps.size();
-  const DpBound bound = dp_bound(costs, caps, capacity_units);
-  const std::int64_t m_max = bound.m_max;
+  const std::int64_t m_max = dp_columns(costs, caps, capacity_units);
   out.units.assign(n, 0);
-  // Fast path: nothing can be granted, so the all-idle allocation is the only
-  // feasible point; skip the DP tables entirely.
+  // Nothing can be granted, so the all-idle allocation is the only feasible
+  // point; skip the DP tables entirely.
   if (n == 0 || m_max == 0) return;
   require(m_max < std::numeric_limits<std::int32_t>::max(),
           "capacity exceeds DP index range");
 
-  // Reuse layer 0: the instance is value-identical to the last solved one
-  // (common in drained/quiescent phases where queues and tails are frozen).
-  if (same_instance(ws, costs, caps, m_max)) {
-    ++ws.memo_hits;
-    std::copy(ws.last_units.begin(), ws.last_units.end(), out.units.begin());
-    return;
-  }
-
-  // Reuse layer 1: margin-guarded separable solve (see try_separable).
   if (try_separable(costs, caps, m_max, out.units)) {
     ++ws.separable_hits;
-    save_memo(ws, costs, caps, m_max, out.units);
-    ws.dp_valid = false;  // checkpoints no longer describe the memo instance
     return;
   }
   std::fill(out.units.begin(), out.units.end(), 0);
 
   const std::size_t width = checked_size(m_max) + 1;
-  const bool narrow = bound.cap_max <= kNarrowChoiceMax;
-  const std::size_t stride = checkpoint_stride(n);
-
-  // Reuse layer 2: warm-start resume. If the previous solve ran the DP over
-  // the same geometry and the first d users' inputs are unchanged, rows
-  // [0, d) would recompute identically — resume from the nearest checkpoint
-  // at or below d instead. Checkpoints below the resume point stay valid by
-  // induction (their rows were identical in the solve that wrote them).
-  std::size_t start_row = 0;
-  if (ws.dp_valid && ws.dp_width == width && ws.dp_narrow == narrow &&
-      ws.checkpoint_stride == stride && ws.last_caps.size() == n) {
-    std::size_t d = 0;
-    while (d < n && caps[d] == ws.last_caps[d] &&
-           costs.idle_cost[d] == ws.last_idle[d] &&
-           costs.active_base[d] == ws.last_base[d] &&
-           costs.slope[d] == ws.last_slope[d]) {
-      ++d;
-    }
-    start_row = d / stride * stride;
-    ws.resumed_rows += checked_index(start_row);
-  }
-
   ws.prev.resize(width);
   ws.cur.resize(width);
   ws.window_key.resize(width);
   ws.deque.resize(width);
   // g(i, M): best phi_i when the first i+1 users received M units in total.
-  if (narrow) {
-    ws.choice16.resize(n * width);
-  } else {
-    ws.choice.resize(n * width);
-  }
-  const std::size_t n_checkpoints = (n - 1) / stride + 1;
-  ws.checkpoints.resize(n_checkpoints * width);
-
+  ws.choice.resize(n * width);
   double* prev = ws.prev.data();
   double* cur = ws.cur.data();
-  if (start_row == 0) {
-    std::fill_n(prev, width, kInf);
-    prev[0] = 0.0;
-  } else {
-    std::copy_n(ws.checkpoints.data() + (start_row / stride) * width, width, prev);
-  }
+  std::fill_n(prev, width, kInf);
+  prev[0] = 0.0;
 
   ++ws.dp_solves;
-  for (std::size_t i = start_row; i < n; ++i) {
-    if (i % stride == 0) {
-      std::copy_n(prev, width, ws.checkpoints.data() + (i / stride) * width);
-    }
-    if (narrow) {
-      dp_row<std::int16_t>(prev, cur, &ws.choice16[i * width], width, caps[i],
-                           costs.idle_cost[i], costs.active_base[i],
-                           costs.slope[i], ws.window_key.data(), ws.deque.data());
-    } else {
-      dp_row<std::int32_t>(prev, cur, &ws.choice[i * width], width, caps[i],
-                           costs.idle_cost[i], costs.active_base[i],
-                           costs.slope[i], ws.window_key.data(), ws.deque.data());
-    }
-    std::swap(prev, cur);
-  }
-
-  if (narrow) {
-    backtrack<std::int16_t>(prev, ws.choice16, n, width, out.units);
-  } else {
-    backtrack<std::int32_t>(prev, ws.choice, n, width, out.units);
-  }
-  save_memo(ws, costs, caps, m_max, out.units);
-  ws.dp_valid = true;
-  ws.dp_width = width;
-  ws.dp_narrow = narrow;
-  ws.checkpoint_stride = stride;
-}
-
-void solve_min_cost_dp_deque(const EmaSlotCosts& costs,
-                             std::span<const std::int64_t> caps,
-                             std::int64_t capacity_units, EmaDpWorkspace& ws,
-                             Allocation& out) {
-  const std::size_t n = caps.size();
-  const std::int64_t m_max = dp_bound(costs, caps, capacity_units).m_max;
-  out.units.assign(n, 0);
-  if (n == 0 || m_max == 0) return;
-  require(m_max < std::numeric_limits<std::int32_t>::max(),
-          "capacity exceeds DP index range");
-  const auto width = checked_size(m_max) + 1;
-  // The deque solve reuses the scratch rows but leaves the warm-start cache
-  // describing a different solve — drop it.
-  ws.invalidate();
-
-  ws.prev.resize(width);
-  ws.cur.resize(width);
-  ws.window_key.resize(width);
-  ws.deque.resize(width);
-  ws.choice.resize(n * width);
-  std::fill_n(ws.prev.data(), width, kInf);
-  ws.prev[0] = 0.0;
-
-  double* prev = ws.prev.data();
-  double* cur = ws.cur.data();
-  double* dq_key = ws.window_key.data();
-  std::int32_t* dq = ws.deque.data();
-
   for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t cap = caps[i];
-    const double idle = costs.idle_cost[i];
-    const double base = costs.active_base[i];
-    const double slope = costs.slope[i];
-    std::int32_t* g = &ws.choice[i * width];
-    cur[0] = prev[0] + idle;
-    g[0] = 0;
-    if (cap == 0) {
-      // The user can receive nothing: the row is a pure idle shift.
-      for (std::size_t m = 1; m < width; ++m) {
-        cur[m] = prev[m] + idle;
-        g[m] = 0;
-      }
-      std::swap(prev, cur);
-      continue;
-    }
-    // Sliding-window minimum over j in [m - cap, m - 1] of
-    // key(j) = prev[j] - slope*j; the phi >= 1 candidate at column m is then
-    // prev[j*] + base + slope*(m - j*). Ties keep the larger j (smaller phi),
-    // matching the reference DP's ascending-phi strict-improvement scan.
-    // Keys live in dq_key parallel to the index deque so the push comparison
-    // needs no indirect load.
-    std::size_t head = 0;
-    std::size_t tail = 0;
-    double prev_m = prev[0];  // rolls forward: the push key at column m uses prev[m-1]
-    for (std::size_t m = 1; m < width; ++m) {
-      const double key = prev_m - slope * as_double(m - 1);
-      while (tail > head && key <= dq_key[tail - 1]) --tail;
-      dq_key[tail] = key;
-      dq[tail] = checked_i32(m - 1);
-      ++tail;
-      // The window lower bound m - cap advances by one per column, so at most
-      // one eviction per step; j = m-1 (just pushed, >= m - cap) survives it,
-      // so the deque is never left empty.
-      if (std::int64_t{dq[head]} < checked_index(m) - cap) ++head;
-      prev_m = prev[m];
-      double best = prev_m + idle;
-      std::int32_t best_phi = 0;
-      const auto j = checked_size(dq[head]);
-      const auto phi = checked_index(m - j);
-      const double candidate = prev[j] + base + slope * as_double(phi);
-      if (candidate < best) {
-        best = candidate;
-        best_phi = checked_i32(phi);
-      }
-      cur[m] = best;
-      g[m] = best_phi;
-    }
+    dp_row(prev, cur, &ws.choice[i * width], width, caps[i], costs.idle_cost[i],
+           costs.active_base[i], costs.slope[i], ws.window_key.data(),
+           ws.deque.data());
     std::swap(prev, cur);
   }
-
-  backtrack<std::int32_t>(prev, ws.choice, n, width, out.units);
+  backtrack(prev, ws.choice.data(), n, width, out.units);
 }
 
 Allocation solve_min_cost_dp_reference(const EmaSlotCosts& costs,
                                        std::span<const std::int64_t> caps,
                                        std::int64_t capacity_units) {
   const std::size_t n = caps.size();
-  const std::int64_t m_max = dp_bound(costs, caps, capacity_units).m_max;
+  const std::int64_t m_max = dp_columns(costs, caps, capacity_units);
   Allocation alloc = Allocation::zeros(n);
   if (n == 0) return alloc;
   const auto width = checked_size(m_max) + 1;
@@ -549,227 +359,16 @@ Allocation solve_min_cost_dp_reference(const EmaSlotCosts& costs,
   return alloc;
 }
 
-namespace {
-
-/// Lagrangian dual value g(lambda) = sum_i min(idle_i, min_{1<=phi<=cap_i}
-/// (base_i + (slope_i+lambda)*phi)) - lambda*C. For every lambda >= 0 this is
-/// a lower bound on the constrained optimum (weak duality: relaxing
-/// sum phi <= C with multiplier lambda only removes cost from feasible
-/// points). The inner minimum of a linear function sits at an endpoint.
-double dual_value(const EmaSlotCosts& costs, std::span<const std::int64_t> caps,
-                  std::int64_t capacity, double lambda) {
-  double total = 0.0;
-  const std::size_t n = caps.size();
-  const double* JSTREAM_RESTRICT idle = costs.idle_cost.data();
-  const double* JSTREAM_RESTRICT base = costs.active_base.data();
-  const double* JSTREAM_RESTRICT slope = costs.slope.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t cap = caps[i];
-    if (cap == 0) {
-      total += idle[i];
-      continue;
-    }
-    const double s = slope[i] + lambda;
-    const double at_one = base[i] + s;
-    const double at_cap = base[i] + s * as_double(cap);
-    total += std::min(idle[i], std::min(at_one, at_cap));
-  }
-  return total - lambda * as_double(capacity);
-}
-
-/// Maximizes the concave piecewise-linear dual over lambda in [0, hi] by
-/// ternary search; any evaluation is a valid lower bound, so the search only
-/// affects tightness, never soundness.
-double dual_lower_bound(const EmaSlotCosts& costs, std::span<const std::int64_t> caps,
-                        std::int64_t capacity) {
-  double hi = 0.0;
-  for (std::size_t i = 0; i < caps.size(); ++i) {
-    if (caps[i] == 0) continue;
-    hi = std::max(hi, -costs.slope[i]);
-    hi = std::max(hi, costs.idle_cost[i] - costs.active_base[i] - costs.slope[i]);
-  }
-  hi += 1.0;  // beyond every breakpoint: all users idle, g strictly decreasing
-  double lo = 0.0;
-  for (int iter = 0; iter < 48; ++iter) {
-    const double third = (hi - lo) / 3.0;
-    const double m1 = lo + third;
-    const double m2 = hi - third;
-    if (dual_value(costs, caps, capacity, m1) <
-        dual_value(costs, caps, capacity, m2)) {
-      lo = m1;
-    } else {
-      hi = m2;
-    }
-  }
-  const double at_bracket = dual_value(costs, caps, capacity, (lo + hi) / 2.0);
-  const double at_zero = dual_value(costs, caps, capacity, 0.0);
-  return std::max(at_bracket, at_zero);
-}
-
-}  // namespace
-
-EmaCoarseOutcome solve_min_cost_coarse(const EmaSlotCosts& costs,
-                                       std::span<const std::int64_t> caps,
-                                       std::int64_t capacity_units, std::int64_t k,
-                                       EmaCoarseWorkspace& ws, Allocation& out) {
-  require(k >= 1, "coarsening factor must be >= 1");
-  const std::size_t n = caps.size();
-  const DpBound bound = dp_bound(costs, caps, capacity_units);
-  const std::int64_t m_max = bound.m_max;
-  out.units.assign(n, 0);
-  EmaCoarseOutcome result;
-  if (n == 0) {
-    result.exact = true;
-    return result;
-  }
-  if (m_max == 0) {
-    // All-idle is the only feasible point: exact by construction.
-    result.cost = total_cost(costs, out.units);
-    result.lower_bound = result.cost;
-    result.exact = true;
-    return result;
-  }
-
-  // When capacity does not bind, the margin-guarded separable path solves the
-  // *fine* instance exactly — no reason to pay any coarsening error.
-  if (try_separable(costs, caps, m_max, out.units)) {
-    result.cost = total_cost(costs, out.units);
-    result.lower_bound = result.cost;
-    result.exact = true;
-    return result;
-  }
-  std::fill(out.units.begin(), out.units.end(), 0);
-
-  if (k == 1) {
-    solve_min_cost_dp(costs, caps, capacity_units, ws.dp, out);
-    result.cost = total_cost(costs, out.units);
-    result.lower_bound = result.cost;
-    result.exact = true;
-    return result;
-  }
-
-  // Coarse instance: units of k capacity grains. cap' = floor(cap/k),
-  // C' = floor(m_max/k), slope' = slope*k (active cost of c coarse units is
-  // base + slope*(k*c)); idle/base carry over unchanged.
-  ws.coarse_caps.resize(n);
-  ws.coarse_costs.idle_cost.resize(n);
-  ws.coarse_costs.active_base.resize(n);
-  ws.coarse_costs.slope.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ws.coarse_caps[i] = caps[i] / k;
-    ws.coarse_costs.idle_cost[i] = costs.idle_cost[i];
-    ws.coarse_costs.active_base[i] = costs.active_base[i];
-    ws.coarse_costs.slope[i] = costs.slope[i] * as_double(k);
-  }
-  solve_min_cost_dp(ws.coarse_costs, ws.coarse_caps, m_max / k, ws.dp,
-                    ws.coarse_alloc);
-
-  // Expand to fine units and refine with strict-improvement moves only, so
-  // the realized cost can only drop below the coarse solution's.
-  std::int64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    out.units[i] = k * ws.coarse_alloc.units[i];
-    total += out.units[i];
-  }
-  std::int64_t leftover = m_max - total;
-
-  // (a) Positive-slope actives pay per unit: shrink them to the minimum
-  // active grant of one fine unit.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (out.units[i] > 1 && costs.slope[i] > 0.0) {
-      leftover += out.units[i] - 1;
-      out.units[i] = 1;
-    }
-  }
-  // (b) Negative-slope actives gain per unit: extend the steepest first.
-  ws.order.clear();
-  ws.order.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (out.units[i] > 0 && costs.slope[i] < 0.0 && out.units[i] < caps[i]) {
-      ws.order.push_back(checked_i32(i));
-    }
-  }
-  std::sort(ws.order.begin(), ws.order.end(),
-            [&costs](std::int32_t a, std::int32_t b) {
-              const auto ua = checked_size(a);
-              const auto ub = checked_size(b);
-              if (costs.slope[ua] != costs.slope[ub]) {
-                return costs.slope[ua] < costs.slope[ub];
-              }
-              return a < b;
-            });
-  for (const std::int32_t idx : ws.order) {
-    if (leftover == 0) break;
-    const auto i = checked_size(idx);
-    const std::int64_t take = std::min(caps[i] - out.units[i], leftover);
-    out.units[i] += take;
-    leftover -= take;
-  }
-  // (c) Idle users the coarse grid under-served (cap < k rounds cap' to 0):
-  // activate the best static gains while capacity remains, strict wins only.
-  if (leftover > 0) {
-    ws.order.clear();
-    const auto static_gain = [&costs, &caps](std::size_t i) {
-      const std::int64_t phi = costs.slope[i] < 0.0 ? caps[i] : 1;
-      return costs.idle_cost[i] -
-             (costs.active_base[i] + costs.slope[i] * as_double(phi));
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-      if (out.units[i] == 0 && caps[i] > 0 && static_gain(i) > 0.0) {
-        ws.order.push_back(checked_i32(i));
-      }
-    }
-    std::sort(ws.order.begin(), ws.order.end(),
-              [&static_gain](std::int32_t a, std::int32_t b) {
-                const double ga = static_gain(checked_size(a));
-                const double gb = static_gain(checked_size(b));
-                if (ga != gb) return ga > gb;
-                return a < b;
-              });
-    for (const std::int32_t idx : ws.order) {
-      if (leftover == 0) break;
-      const auto i = checked_size(idx);
-      const std::int64_t phi =
-          costs.slope[i] < 0.0 ? std::min(caps[i], leftover) : 1;
-      if (phi > leftover) continue;
-      const double active = costs.active_base[i] + costs.slope[i] * as_double(phi);
-      if (active < costs.idle_cost[i]) {
-        out.units[i] = phi;
-        leftover -= phi;
-      }
-    }
-  }
-
-  result.cost = total_cost(costs, out.units);
-  result.lower_bound = dual_lower_bound(costs, caps, m_max);
-  result.gap = std::max(0.0, result.cost - result.lower_bound);
-  result.exact = false;
-  return result;
-}
-
 EmaScheduler::EmaScheduler(EmaConfig config) : config_(config) {
   require(config_.v_weight > 0.0, "V must be positive");
-  require(config_.coarsen_units >= 1, "coarsen_units must be >= 1");
 }
 
-void EmaScheduler::reset(std::size_t users) {
-  queues_.reset(users);
-  dp_ws_.invalidate();
-  coarse_ws_.dp.invalidate();
-  certificate_ = SolveCertificate{};
-}
+void EmaScheduler::reset(std::size_t users) { queues_.reset(users); }
 
 void EmaScheduler::reset_user(std::size_t user) { queues_.reset_user(user); }
 
-Allocation EmaScheduler::allocate(const SlotContext& ctx) {
-  Allocation alloc;
-  allocate_into(ctx, alloc);
-  return alloc;
-}
-
-// jstream: hot-path — per-slot EMA allocation; the whole solver stack
-// below it (memo, separable fast path, warm start, deque kernel) inherits
-// hotness through the same-TU call graph.
+// jstream: hot-path — per-slot EMA allocation; the solver below it (separable
+// fast path, deque DP) inherits hotness through the same-TU call graph.
 void EmaScheduler::allocate_into(const SlotContext& ctx, Allocation& out) {
   require(queues_.size() == ctx.user_count(),
           "EMA not reset for this user count");
@@ -823,22 +422,10 @@ void EmaScheduler::adjust_costs(const SlotContext& /*ctx*/, EmaSlotCosts& /*cost
 void EmaScheduler::solve_slot(const EmaSlotCosts& costs,
                               std::span<const std::int64_t> caps,
                               std::int64_t capacity_units, Allocation& out) {
-  if (config_.coarsen_units <= 1) {
-    solve_min_cost_dp(costs, caps, capacity_units, dp_ws_, out);
-    certificate_.last_gap = 0.0;
-    ++certificate_.exact_slots;
-    return;
-  }
-  const EmaCoarseOutcome outcome = solve_min_cost_coarse(
-      costs, caps, capacity_units, config_.coarsen_units, coarse_ws_, out);
-  certificate_.last_gap = outcome.gap;
-  certificate_.gap_sum += outcome.gap;
-  certificate_.gap_max = std::max(certificate_.gap_max, outcome.gap);
-  if (outcome.exact) {
-    ++certificate_.exact_slots;
-  } else {
-    ++certificate_.certified_slots;
-  }
+  // The capacity bounds every DP's column count, so once the buffers are
+  // reserved for it no later solve at that capacity grows one.
+  dp_ws_.reserve(caps.size(), capacity_units);
+  solve_min_cost_dp(costs, caps, capacity_units, dp_ws_, out);
 }
 
 }  // namespace jstream

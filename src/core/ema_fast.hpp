@@ -50,12 +50,6 @@ class EmaFastScheduler final : public EmaScheduler {
 
   [[nodiscard]] std::string name() const override { return "ema-fast"; }
 
-  /// The greedy solver is a heuristic without an optimality bound, so it
-  /// publishes no certificate (the base class would claim gap 0).
-  [[nodiscard]] const SolveCertificate* solve_certificate() const override {
-    return nullptr;
-  }
-
  protected:
   void solve_slot(const EmaSlotCosts& costs, std::span<const std::int64_t> caps,
                   std::int64_t capacity_units, Allocation& out) override {

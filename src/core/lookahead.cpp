@@ -24,6 +24,7 @@ LookaheadScheduler::LookaheadScheduler(LookaheadConfig config,
 void LookaheadScheduler::reset(std::size_t users) {
   require(users == forecast_dbm_.size(),
           "forecast population does not match the scenario");
+  order_.reserve(users);
 }
 
 double LookaheadScheduler::best_future_price(const SlotContext& ctx,
@@ -38,21 +39,23 @@ double LookaheadScheduler::best_future_price(const SlotContext& ctx,
   return best;
 }
 
-Allocation LookaheadScheduler::allocate(const SlotContext& ctx) {
+// jstream: hot-path — per-slot allocation; recycles out.units, and order_ is
+// reserved in reset().
+void LookaheadScheduler::allocate_into(const SlotContext& ctx, Allocation& out) {
   const std::size_t n = ctx.user_count();
   require(forecast_dbm_.size() == n, "forecast/user count mismatch");
-  Allocation alloc = Allocation::zeros(n);
+  out.units.assign(n, 0);
   std::int64_t remaining = ctx.capacity_units;
 
   // Most urgent (smallest buffer) first so safety transmissions never lose
   // capacity to prefetching peers.
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+  order_.resize(n);
+  std::iota(order_.begin(), order_.end(), 0);
+  std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
     return ctx.users[a].buffer_s < ctx.users[b].buffer_s;
   });
 
-  for (std::size_t i : order) {
+  for (std::size_t i : order_) {
     if (remaining <= 0) break;
     const UserSlotInfo& user = ctx.users[i];
     if (user.alloc_cap_units <= 0) continue;
@@ -75,10 +78,9 @@ Allocation LookaheadScheduler::allocate(const SlotContext& ctx) {
     }
     const std::int64_t grant = std::min({wanted, user.alloc_cap_units, remaining});
     if (grant <= 0) continue;
-    alloc.units[i] = grant;
+    out.units[i] = grant;
     remaining -= grant;
   }
-  return alloc;
 }
 
 }  // namespace jstream

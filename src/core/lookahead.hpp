@@ -40,7 +40,7 @@ class LookaheadScheduler final : public Scheduler {
 
   [[nodiscard]] std::string name() const override { return "lookahead"; }
   void reset(std::size_t users) override;
-  [[nodiscard]] Allocation allocate(const SlotContext& ctx) override;
+  void allocate_into(const SlotContext& ctx, Allocation& out) override;
 
   [[nodiscard]] const LookaheadConfig& config() const noexcept { return config_; }
 
@@ -50,6 +50,7 @@ class LookaheadScheduler final : public Scheduler {
 
   LookaheadConfig config_;
   std::vector<std::vector<double>> forecast_dbm_;
+  std::vector<std::size_t> order_;  ///< per-slot urgency order, reserved in reset()
 };
 
 }  // namespace jstream

@@ -32,7 +32,7 @@
 // unchanged.
 //
 // The perturbation lives entirely in the EmaScheduler::adjust_costs hook:
-// the DP stays exact for the adjusted objective (certificate gap 0), Eq. 1/2
+// the DP stays exact for the adjusted objective, Eq. 1/2
 // feasibility is enforced by the unchanged solver, and the Eq. 16 queue
 // update is untouched — so the --validate invariant checker applies as-is.
 // With horizon_slots == 0 the hook is inert and the scheduler is

@@ -50,12 +50,6 @@ void RtmaScheduler::set_energy_budget(double budget_mj) {
   config_.energy_budget_mj = budget_mj;
 }
 
-Allocation RtmaScheduler::allocate(const SlotContext& ctx) {
-  Allocation alloc;
-  allocate_into(ctx, alloc);
-  return alloc;
-}
-
 // jstream: hot-path — per-slot allocation; order_/need_ workspaces are
 // reserved in reset().
 void RtmaScheduler::allocate_into(const SlotContext& ctx, Allocation& out) {

@@ -44,7 +44,6 @@ class RtmaScheduler final : public Scheduler {
 
   [[nodiscard]] std::string name() const override { return "rtma"; }
   void reset(std::size_t users) override;
-  [[nodiscard]] Allocation allocate(const SlotContext& ctx) override;
   void allocate_into(const SlotContext& ctx, Allocation& out) override;
 
   /// The Eq. 12 threshold used in the most recent slot (for diagnostics;

@@ -6,7 +6,6 @@
 // DataTransmitter validates every allocation before applying it.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <string>
 
@@ -14,21 +13,6 @@
 #include "net/allocation.hpp"
 
 namespace jstream {
-
-/// Optimality certificate for schedulers that solve the per-slot problem
-/// approximately but can bound the error. `last_gap` is a per-slot upper
-/// bound, in the slot objective's units, on cost(decision) - cost(optimum):
-/// 0 when the solve was exact, a certified Lagrangian duality gap when the
-/// EMA coarsening mode is active (see docs/PERFORMANCE.md, "EMA at scale").
-/// The invariant checker compares `last_gap` against the Theorem 1 drift
-/// bound B under --validate; the aggregate fields feed RunMetrics.
-struct SolveCertificate {
-  double last_gap = 0.0;          ///< certified gap of the most recent slot
-  double gap_sum = 0.0;           ///< sum of certified gaps since reset
-  double gap_max = 0.0;           ///< worst per-slot certified gap since reset
-  std::int64_t certified_slots = 0;  ///< slots solved with a nonzero-gap certificate
-  std::int64_t exact_slots = 0;      ///< slots solved exactly (gap == 0)
-};
 
 /// Per-slot data allocation policy.
 class Scheduler {
@@ -48,31 +32,18 @@ class Scheduler {
   /// override the no-op default.
   virtual void reset_user(std::size_t user) { (void)user; }
 
-  /// Computes phi_i(n) for every user. Must satisfy:
+  /// Computes phi_i(n) for every user into `out`, one entry per user,
+  /// recycling its storage across slots so the steady state is
+  /// allocation-free. Must satisfy:
   ///   0 <= phi_i <= ctx.users[i].alloc_cap_units      (constraint (1))
   ///   sum phi_i <= ctx.capacity_units                 (constraint (2))
-  [[nodiscard]] virtual Allocation allocate(const SlotContext& ctx) = 0;
-
-  /// Buffer-reusing variant: writes the decision into `out`, recycling its
-  /// storage across slots. The framework drives this entry point so that
-  /// schedulers with internal workspaces (EMA) can run allocation-free in
-  /// steady state; the default simply forwards to allocate().
-  virtual void allocate_into(const SlotContext& ctx, Allocation& out) {
-    out = allocate(ctx);
-  }
+  virtual void allocate_into(const SlotContext& ctx, Allocation& out) = 0;
 
   /// Lyapunov virtual-queue levels PC_i (Eq. 16) *after* the current slot's
   /// decision, for schedulers that maintain them (EMA family); empty
   /// otherwise. The paper-invariant validator cross-checks these against the
   /// Eq. 16 shadow recursion (see src/analysis/invariant_checker.hpp).
   [[nodiscard]] virtual std::span<const double> virtual_queues() const { return {}; }
-
-  /// Optimality certificate of the per-slot solves, for schedulers that can
-  /// bound their approximation error (the EMA family). Null for schedulers
-  /// without one; exact solvers report gap 0.
-  [[nodiscard]] virtual const SolveCertificate* solve_certificate() const {
-    return nullptr;
-  }
 };
 
 }  // namespace jstream

@@ -35,7 +35,7 @@ namespace {
 
 // "JSTDFRM1" read as a little-endian u64.
 constexpr std::uint64_t kFrameMagic = 0x314D5246'4454534AULL;
-constexpr std::uint32_t kFrameVersion = 1;
+constexpr std::uint32_t kFrameVersion = 2;
 constexpr std::uint32_t kFrameKindResult = 1;
 constexpr std::uint32_t kFrameKindError = 2;
 constexpr std::size_t kFrameHeaderBytes = 48;
@@ -454,11 +454,6 @@ void encode_run_metrics(ByteWriter& out, const RunMetrics& metrics) {
     out.i64(user.tx_slots);
     out.boolean(user.playback_finished);
   }
-  out.boolean(metrics.has_certificate);
-  out.i64(metrics.cert_exact_slots);
-  out.i64(metrics.cert_certified_slots);
-  out.f64(metrics.cert_gap_sum);
-  out.f64(metrics.cert_gap_max);
   out.doubles(metrics.slot_fairness);
   out.doubles(metrics.slot_energy_mj);
   out.doubles(metrics.rebuffer_samples_s);
@@ -482,11 +477,6 @@ RunMetrics decode_run_metrics(ByteReader& in) {
     user.tx_slots = in.i64();
     user.playback_finished = in.boolean();
   }
-  metrics.has_certificate = in.boolean();
-  metrics.cert_exact_slots = in.i64();
-  metrics.cert_certified_slots = in.i64();
-  metrics.cert_gap_sum = in.f64();
-  metrics.cert_gap_max = in.f64();
   metrics.slot_fairness = in.doubles();
   metrics.slot_energy_mj = in.doubles();
   metrics.rebuffer_samples_s = in.doubles();

@@ -29,16 +29,6 @@ struct RunMetrics {
   std::int64_t slots_run = 0;
   std::vector<UserTotals> per_user;
 
-  // Solver optimality certificate, harvested from the scheduler at run end
-  // (Scheduler::solve_certificate()). `has_certificate` is false for
-  // schedulers that publish none; exact solvers report zero gaps. The gap
-  // unit is the slot objective's (see docs/PERFORMANCE.md, "EMA at scale").
-  bool has_certificate = false;
-  std::int64_t cert_exact_slots = 0;      ///< slots solved exactly (gap == 0)
-  std::int64_t cert_certified_slots = 0;  ///< slots with a nonzero-gap certificate
-  double cert_gap_sum = 0.0;              ///< sum of certified per-slot gaps
-  double cert_gap_max = 0.0;              ///< worst certified per-slot gap
-
   // Per-slot series (kept when MetricsCollector is constructed with
   // keep_series = true).
   std::vector<double> slot_fairness;       ///< Jain index over needy users

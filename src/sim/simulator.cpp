@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/units.hpp"
-#include "core/lyapunov.hpp"
 #include "net/base_station.hpp"
 #include "sim/fault.hpp"
 #include "telemetry/registry.hpp"
@@ -77,23 +76,6 @@ RunMetrics Simulator::run(bool keep_series) {
     }
     framework.attach_fault_hook(fault_injector.get());
   }
-  // Theorem 1 slack budget for certified-approximate solvers: a per-slot
-  // optimality gap of at most B keeps the drift-plus-penalty chain valid with
-  // PE <= E* + 2B/V, so under --validate the invariant checker rejects any
-  // certificate above B (Eq. 18; t_max_i is the largest playback time one
-  // slot's shard can carry at the best-case link rate).
-  {
-    const double v_max_kbps =
-        config_.link.throughput->throughput_kbps(config_.signal.max_dbm);
-    std::vector<double> t_max_s;
-    t_max_s.reserve(endpoints.size());
-    for (const UserEndpoint& endpoint : endpoints) {
-      t_max_s.push_back(config_.slot.tau_s * v_max_kbps /
-                        endpoint.session.bitrate_kbps(0));
-    }
-    framework.set_certified_gap_budget(
-        lyapunov_drift_bound(config_.slot.tau_s, t_max_s));
-  }
   MetricsCollector metrics(config_.users, keep_series);
 
   // After the last session ends, run a few more slots so outstanding RRC
@@ -128,15 +110,7 @@ RunMetrics Simulator::run(bool keep_series) {
     }
   }
   probes.slots_total.add(slots_run);
-  RunMetrics result = metrics.finish();
-  if (const SolveCertificate* cert = framework.scheduler().solve_certificate()) {
-    result.has_certificate = true;
-    result.cert_exact_slots = cert->exact_slots;
-    result.cert_certified_slots = cert->certified_slots;
-    result.cert_gap_sum = cert->gap_sum;
-    result.cert_gap_max = cert->gap_max;
-  }
-  return result;
+  return metrics.finish();
 }
 
 RunMetrics simulate(const ScenarioConfig& config, std::unique_ptr<Scheduler> scheduler,

@@ -173,6 +173,7 @@ std::shared_ptr<const SignalTraceSet> TraceCache::get_or_generate(
   TraceFuture future;
   std::promise<std::shared_ptr<const SignalTraceSet>> promise;
   bool generate = false;
+  std::uint64_t serial = 0;
   TraceStore* store = nullptr;
   std::vector<SpillItem> spill;
   {
@@ -186,10 +187,12 @@ std::shared_ptr<const SignalTraceSet> TraceCache::get_or_generate(
     } else {
       ++misses_;
       generate = true;
+      serial = next_serial_++;
       future = promise.get_future().share();
       lru_.push_front(Entry{key, future,
                             SignalTraceSet::estimate_bytes(config.users,
-                                                           config.max_slots)});
+                                                           config.max_slots),
+                            serial});
       resident_bytes_ += lru_.front().bytes;
       index_.emplace(key, lru_.begin());
       evict_locked(spill);
@@ -199,6 +202,8 @@ std::shared_ptr<const SignalTraceSet> TraceCache::get_or_generate(
   if (telemetry::enabled()) {
     (generate ? probes.misses : probes.hits).add();
   }
+  // Set when eviction dropped this call's entry mid-generation (see below).
+  std::shared_ptr<const SignalTraceSet> orphan;
   if (generate) {
     try {
       std::shared_ptr<const SignalTraceSet> set;
@@ -214,6 +219,16 @@ std::shared_ptr<const SignalTraceSet> TraceCache::get_or_generate(
       {
         const std::lock_guard lock(mutex_);
         ++(promoted ? promotions_ : generations_);
+        // Eviction may have dropped this entry while it was generating (or
+        // dropped it and a later miss re-inserted the key): then no resident
+        // entry carries this set, so neither evict_locked nor spill_resident
+        // will ever see it. Spill it below or the store never receives it.
+        const auto found = index_.find(key);
+        store = store_;
+        if (!promoted && store != nullptr &&
+            (found == index_.end() || found->second->serial != serial)) {
+          orphan = set;
+        }
       }
       if (promoted && telemetry::enabled()) probes.promotions.add();
     } catch (...) {
@@ -222,7 +237,7 @@ std::shared_ptr<const SignalTraceSet> TraceCache::get_or_generate(
       // holding the future still observe the exception.
       const std::lock_guard lock(mutex_);
       const auto found = index_.find(key);
-      if (found != index_.end()) {
+      if (found != index_.end() && found->second->serial == serial) {
         resident_bytes_ -= found->second->bytes;
         lru_.erase(found->second);
         index_.erase(found);
@@ -230,6 +245,7 @@ std::shared_ptr<const SignalTraceSet> TraceCache::get_or_generate(
       throw;
     }
   }
+  if (orphan != nullptr) store->put(trace_key_fingerprint(key), *orphan);
   return future.get();
 }
 
@@ -292,10 +308,9 @@ void TraceCache::evict_locked(std::vector<SpillItem>& spill) {
   while (lru_.size() > 1 && resident_bytes_ > max_bytes_) {
     const Entry& victim = lru_.back();
     // Spill completed victims so the persistent tier can answer the next
-    // miss. An entry whose generation is still in flight is dropped without
-    // spilling — its future holder finishes the work; by then the entry is
-    // gone from the index, and spill_resident at end of run will not see it
-    // either, which only costs a regeneration on some future cold miss.
+    // miss. An entry whose generation is still in flight is dropped here
+    // without spilling: its generating thread finds the entry gone from the
+    // index when it finishes and spills the set itself (get_or_generate).
     if (store_ != nullptr &&
         victim.future.wait_for(std::chrono::seconds(0)) ==
             std::future_status::ready) {

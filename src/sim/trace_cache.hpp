@@ -150,7 +150,8 @@ class TraceCache {
   struct Entry {
     TraceKey key;
     TraceFuture future;
-    std::size_t bytes = 0;  ///< estimate_bytes at insert time
+    std::size_t bytes = 0;     ///< estimate_bytes at insert time
+    std::uint64_t serial = 0;  ///< unique per insertion; tells a re-insert apart
   };
 
   /// One evicted entry queued for a spill outside the lock.
@@ -163,7 +164,8 @@ class TraceCache {
   /// must hold mutex_. When a store is attached, victims whose generation
   /// already completed are collected into `spill` — the caller writes them
   /// after releasing the lock (a spill is tens of MB of I/O; holding the
-  /// cache mutex across it would serialize every concurrent shard).
+  /// cache mutex across it would serialize every concurrent shard). A victim
+  /// still generating is spilled by its generating thread instead.
   void evict_locked(std::vector<SpillItem>& spill);
 
   /// Writes queued victims to `store`. Called without mutex_ held.
@@ -179,6 +181,7 @@ class TraceCache {
   std::uint64_t evictions_ = 0;
   std::uint64_t generations_ = 0;
   std::uint64_t promotions_ = 0;
+  std::uint64_t next_serial_ = 0;
   TraceStore* store_ = nullptr;  ///< persistent tier; not owned
 };
 

@@ -3,7 +3,7 @@
 //
 //   {
 //     telemetry::ScopedTimer timer(registry.histogram("scheduler.decision_latency_us"));
-//     alloc = scheduler->allocate(ctx);
+//     scheduler->allocate_into(ctx, alloc);
 //   }  // <- observation recorded here
 //
 // When telemetry is disabled at construction time the timer never reads the

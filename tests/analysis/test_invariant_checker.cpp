@@ -39,12 +39,11 @@ class CapacityOvershootScheduler : public Scheduler {
  public:
   [[nodiscard]] std::string name() const override { return "broken-capacity"; }
   void reset(std::size_t) override {}
-  [[nodiscard]] Allocation allocate(const SlotContext& ctx) override {
-    Allocation alloc = Allocation::zeros(ctx.users.size());
+  void allocate_into(const SlotContext& ctx, Allocation& out) override {
+    out.units.assign(ctx.users.size(), 0);
     for (std::size_t i = 0; i < ctx.users.size(); ++i) {
-      alloc.units[i] = ctx.users[i].link_units;
+      out.units[i] = ctx.users[i].link_units;
     }
-    return alloc;
   }
 };
 
@@ -53,10 +52,9 @@ class LinkOvershootScheduler : public Scheduler {
  public:
   [[nodiscard]] std::string name() const override { return "broken-link"; }
   void reset(std::size_t) override {}
-  [[nodiscard]] Allocation allocate(const SlotContext& ctx) override {
-    Allocation alloc = Allocation::zeros(ctx.users.size());
-    if (!ctx.users.empty()) alloc.units[0] = ctx.users[0].alloc_cap_units + 1;
-    return alloc;
+  void allocate_into(const SlotContext& ctx, Allocation& out) override {
+    out.units.assign(ctx.users.size(), 0);
+    if (!ctx.users.empty()) out.units[0] = ctx.users[0].alloc_cap_units + 1;
   }
 };
 
@@ -66,8 +64,8 @@ class FrozenQueueScheduler : public Scheduler {
  public:
   [[nodiscard]] std::string name() const override { return "broken-queues"; }
   void reset(std::size_t users) override { queues_.assign(users, 0.0); }
-  [[nodiscard]] Allocation allocate(const SlotContext& ctx) override {
-    return Allocation::zeros(ctx.users.size());
+  void allocate_into(const SlotContext& ctx, Allocation& out) override {
+    out.units.assign(ctx.users.size(), 0);
   }
   [[nodiscard]] std::span<const double> virtual_queues() const override {
     return queues_;

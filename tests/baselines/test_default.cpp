@@ -11,6 +11,7 @@ namespace jstream {
 namespace {
 
 using testing::TestUser;
+using testing::decide;
 using testing::make_context;
 
 TEST(DefaultScheduler, GrabsFullLinkRateUpToCapacity) {
@@ -19,7 +20,7 @@ TEST(DefaultScheduler, GrabsFullLinkRateUpToCapacity) {
   // Plenty of capacity: everyone gets the full link cap.
   const SlotContext ctx =
       make_context({TestUser{-80.0, 400.0}, TestUser{-110.0, 400.0}});
-  const Allocation alloc = scheduler.allocate(ctx);
+  const Allocation alloc = decide(scheduler, ctx);
   EXPECT_EQ(alloc.units[0], ctx.users[0].alloc_cap_units);
   EXPECT_EQ(alloc.units[1], ctx.users[1].alloc_cap_units);
 }
@@ -30,7 +31,7 @@ TEST(DefaultScheduler, CapacityBindsAndStarvesTheTail) {
   // Capacity of 23 units = exactly one strong user's link cap.
   std::vector<TestUser> users(4, TestUser{-80.0, 400.0});
   const SlotContext ctx = make_context(users, /*capacity_kbps=*/2300.0);
-  const Allocation alloc = scheduler.allocate(ctx);
+  const Allocation alloc = decide(scheduler, ctx);
   EXPECT_EQ(alloc.total_units(), ctx.capacity_units);
   // Exactly one user (whoever heads this slot's rotation) gets everything.
   int winners = 0;
@@ -47,7 +48,7 @@ TEST(DefaultScheduler, ServingOrderRotatesAcrossSlots) {
   std::set<std::size_t> winners;
   for (std::int64_t slot = 0; slot < 64; ++slot) {
     const SlotContext ctx = make_context(users, 2300.0, SlotParams{}, slot);
-    const Allocation alloc = scheduler.allocate(ctx);
+    const Allocation alloc = decide(scheduler, ctx);
     for (std::size_t i = 0; i < 4; ++i) {
       if (alloc.units[i] > 0) winners.insert(i);
     }
@@ -70,7 +71,7 @@ TEST(DefaultScheduler, SkipsFinishedUsers) {
   std::vector<TestUser> users{TestUser{-80.0, 400.0}, TestUser{-80.0, 400.0}};
   users[0].remaining_kb = 0.0;
   const SlotContext ctx = make_context(users);
-  const Allocation alloc = scheduler.allocate(ctx);
+  const Allocation alloc = decide(scheduler, ctx);
   EXPECT_EQ(alloc.units[0], 0);
   EXPECT_GT(alloc.units[1], 0);
 }

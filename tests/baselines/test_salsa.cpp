@@ -9,6 +9,7 @@ namespace jstream {
 namespace {
 
 using testing::TestUser;
+using testing::decide;
 using testing::make_context;
 
 TEST(Salsa, TransmitsOnFirstSlot) {
@@ -17,7 +18,7 @@ TEST(Salsa, TransmitsOnFirstSlot) {
   SalsaScheduler scheduler;
   scheduler.reset(1);
   const SlotContext ctx = make_context({TestUser{-80.0, 400.0}});
-  EXPECT_GT(scheduler.allocate(ctx).units[0], 0);
+  EXPECT_GT(decide(scheduler, ctx).units[0], 0);
 }
 
 TEST(Salsa, DefersOnExpensiveChannelWithHealthyBuffer) {
@@ -27,12 +28,12 @@ TEST(Salsa, DefersOnExpensiveChannelWithHealthyBuffer) {
   std::vector<TestUser> users{TestUser{-60.0, 400.0}};
   users[0].buffer_s = 10.0;
   for (std::int64_t slot = 0; slot < 50; ++slot) {
-    (void)scheduler.allocate(make_context(users, 20000.0, SlotParams{}, slot));
+    (void)decide(scheduler, make_context(users, 20000.0, SlotParams{}, slot));
     users[0].buffer_s = 10.0;
   }
   // Now the channel collapses but the buffer is healthy: defer.
   users[0].signal_dbm = -110.0;
-  EXPECT_EQ(scheduler.allocate(make_context(users)).units[0], 0);
+  EXPECT_EQ(decide(scheduler, make_context(users)).units[0], 0);
 }
 
 TEST(Salsa, PanicsWhenBufferNearlyEmpty) {
@@ -41,12 +42,12 @@ TEST(Salsa, PanicsWhenBufferNearlyEmpty) {
   std::vector<TestUser> users{TestUser{-60.0, 400.0}};
   users[0].buffer_s = 10.0;
   for (std::int64_t slot = 0; slot < 50; ++slot) {
-    (void)scheduler.allocate(make_context(users, 20000.0, SlotParams{}, slot));
+    (void)decide(scheduler, make_context(users, 20000.0, SlotParams{}, slot));
     users[0].buffer_s = 10.0;
   }
   users[0].signal_dbm = -110.0;
   users[0].buffer_s = 1.0;  // below the panic threshold
-  EXPECT_GT(scheduler.allocate(make_context(users)).units[0], 0);
+  EXPECT_GT(decide(scheduler, make_context(users)).units[0], 0);
 }
 
 TEST(Salsa, FillsTowardTargetBuffer) {
@@ -56,7 +57,7 @@ TEST(Salsa, FillsTowardTargetBuffer) {
   scheduler.reset(1);
   std::vector<TestUser> users{TestUser{-60.0, 400.0}};
   users[0].buffer_s = 13.0;
-  const Allocation alloc = scheduler.allocate(make_context(users));
+  const Allocation alloc = decide(scheduler, make_context(users));
   // Deficit of 2 s at 400 KB/s = 800 KB = 8 units.
   EXPECT_EQ(alloc.units[0], 8);
 }
@@ -66,7 +67,7 @@ TEST(Salsa, RespectsCapacity) {
   scheduler.reset(10);
   const std::vector<TestUser> users(10, TestUser{-70.0, 500.0});
   const SlotContext ctx = make_context(users, /*capacity_kbps=*/2000.0);
-  EXPECT_LE(scheduler.allocate(ctx).total_units(), ctx.capacity_units);
+  EXPECT_LE(decide(scheduler, ctx).total_units(), ctx.capacity_units);
 }
 
 TEST(Salsa, RejectsBadParamsAndMissingReset) {
@@ -78,7 +79,7 @@ TEST(Salsa, RejectsBadParamsAndMissingReset) {
   EXPECT_THROW(SalsaScheduler{bad}, Error);
   SalsaScheduler scheduler;
   const SlotContext ctx = make_context({TestUser{}});
-  EXPECT_THROW((void)scheduler.allocate(ctx), Error);
+  EXPECT_THROW((void)decide(scheduler, ctx), Error);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@ namespace jstream {
 namespace {
 
 using testing::TestUser;
+using testing::decide;
 using testing::make_context;
 
 TEST(Throttling, PacesAtFactorTimesEncodingRate) {
@@ -16,7 +17,7 @@ TEST(Throttling, PacesAtFactorTimesEncodingRate) {
   scheduler.reset(2);
   const SlotContext ctx =
       make_context({TestUser{-60.0, 400.0}, TestUser{-60.0, 300.0}});
-  const Allocation alloc = scheduler.allocate(ctx);
+  const Allocation alloc = decide(scheduler, ctx);
   EXPECT_EQ(alloc.units[0], 5);  // ceil(1.25 * 400 / 100)
   EXPECT_EQ(alloc.units[1], 4);  // ceil(1.25 * 300 / 100)
 }
@@ -26,7 +27,7 @@ TEST(Throttling, LinkCapBindsAtWeakSignal) {
   scheduler.reset(1);
   // v(-110) = 329 KB/s -> 3 units < paced 8 units for a 600 KB/s video.
   const SlotContext ctx = make_context({TestUser{-110.0, 600.0}});
-  const Allocation alloc = scheduler.allocate(ctx);
+  const Allocation alloc = decide(scheduler, ctx);
   EXPECT_EQ(alloc.units[0], 3);
 }
 
@@ -36,7 +37,7 @@ TEST(Throttling, TransmitsEverySlotRegardlessOfBuffer) {
   std::vector<TestUser> users{TestUser{-70.0, 400.0}};
   users[0].buffer_s = 500.0;  // huge buffer; throttling does not care
   const SlotContext ctx = make_context(users);
-  EXPECT_GT(scheduler.allocate(ctx).units[0], 0);
+  EXPECT_GT(decide(scheduler, ctx).units[0], 0);
 }
 
 TEST(Throttling, FixedOrderStarvesTailUnderPressure) {
@@ -47,7 +48,7 @@ TEST(Throttling, FixedOrderStarvesTailUnderPressure) {
   bool user2_ever_served = false;
   for (std::int64_t slot = 0; slot < 32; ++slot) {
     const SlotContext ctx = make_context(users, 500.0, SlotParams{}, slot);
-    const Allocation alloc = scheduler.allocate(ctx);
+    const Allocation alloc = decide(scheduler, ctx);
     EXPECT_EQ(alloc.units[0], 5);  // head of the fixed order always wins
     if (alloc.units[2] > 0) user2_ever_served = true;
   }
@@ -59,7 +60,7 @@ TEST(Throttling, RespectsCapacity) {
   scheduler.reset(8);
   const std::vector<TestUser> users(8, TestUser{-60.0, 600.0});
   const SlotContext ctx = make_context(users, /*capacity_kbps=*/2000.0);
-  EXPECT_LE(scheduler.allocate(ctx).total_units(), ctx.capacity_units);
+  EXPECT_LE(decide(scheduler, ctx).total_units(), ctx.capacity_units);
 }
 
 TEST(Throttling, RejectsFactorBelowOne) {

@@ -1,10 +1,8 @@
-// EMA warm-start state under campaign concurrency: every campaign cell owns
-// its own EmaScheduler, whose EmaDpWorkspace carries cross-slot memo and
-// checkpoint state. Shards racing on the pool must therefore be (a)
-// TSan-clean — no warm-start buffer is shared across cells — and (b)
-// bit-identical to a serial run of the same grid: the reuse layers are pure
-// per-instance accelerations, so thread count cannot perturb a single
-// allocation, certified gap, or metric.
+// EMA solver state under campaign concurrency: every campaign cell owns its
+// own EmaScheduler, whose grow-only EmaDpWorkspace is reused across slots.
+// Shards racing on the pool must therefore be (a) TSan-clean — no DP buffer
+// is shared across cells — and (b) bit-identical to a serial run of the same
+// grid: thread count cannot perturb a single allocation or metric.
 
 #include <gtest/gtest.h>
 
@@ -20,15 +18,12 @@ namespace {
 std::vector<ExperimentSpec> small_grid() {
   ScenarioConfig base = paper_scenario(/*users=*/4, /*seed=*/11);
   base.max_slots = 80;
-  // Scarce pipe: capacity binds, so the exact cells run the warm-start DP
-  // (not just the separable shortcut) and the k8 cells certify real gaps.
+  // Scarce pipe: capacity binds, so the cells run the full DP, not just the
+  // separable shortcut.
   base.capacity_kbps = 500.0;
   SchedulerOptions exact;
   exact.ema.v_weight = 0.05;
-  SchedulerOptions coarse = exact;
-  coarse.ema.coarsen_units = 8;
-  const std::vector<CampaignSeries> series{{"ema", "ema", exact},
-                                           {"ema-k8", "ema", coarse}};
+  const std::vector<CampaignSeries> series{{"ema", "ema", exact}};
   return make_campaign_grid(base, series, /*replications=*/4);
 }
 
@@ -39,13 +34,6 @@ void expect_identical(const std::vector<RunMetrics>& a,
     EXPECT_EQ(a[i].slots_run, b[i].slots_run);
     EXPECT_EQ(a[i].total_energy_mj(), b[i].total_energy_mj());
     EXPECT_EQ(a[i].total_rebuffer_s(), b[i].total_rebuffer_s());
-    // The solve certificate is part of the determinism contract too: racing
-    // shards must report the same exact/certified split and the same gaps.
-    EXPECT_EQ(a[i].has_certificate, b[i].has_certificate);
-    EXPECT_EQ(a[i].cert_exact_slots, b[i].cert_exact_slots);
-    EXPECT_EQ(a[i].cert_certified_slots, b[i].cert_certified_slots);
-    EXPECT_EQ(a[i].cert_gap_sum, b[i].cert_gap_sum);
-    EXPECT_EQ(a[i].cert_gap_max, b[i].cert_gap_max);
   }
 }
 
@@ -58,18 +46,11 @@ TEST(EmaWarmStartConcurrent, ParallelShardsMatchSerialBitForBit) {
   const std::vector<RunMetrics> base = run_campaign(specs, serial);
   const std::vector<RunMetrics> racy = run_campaign(specs, parallel);
   expect_identical(base, racy);
-  // The grid really exercised both solver modes.
-  bool saw_certified = false;
-  for (const RunMetrics& m : base) {
-    ASSERT_TRUE(m.has_certificate);
-    saw_certified = saw_certified || m.cert_certified_slots > 0;
-  }
-  EXPECT_TRUE(saw_certified);
 }
 
 TEST(EmaWarmStartConcurrent, SimultaneousCampaignsDontInterfere) {
-  // Two campaigns race in separate pools; each shard's warm-start workspaces
-  // live inside its own scheduler instances, so neither perturbs the other.
+  // Two campaigns race in separate pools; each shard's DP workspace lives
+  // inside its own scheduler instance, so neither perturbs the other.
   const std::vector<ExperimentSpec> specs = small_grid();
   CampaignOptions serial;
   serial.threads = 1;

@@ -12,6 +12,7 @@ namespace jstream {
 namespace {
 
 using testing::TestUser;
+using testing::decide;
 using testing::make_context;
 
 TEST(AdaptiveRtma, StartsAtTargetWhenInnerBudgetUnset) {
@@ -40,7 +41,7 @@ TEST(AdaptiveRtma, BudgetGrowsWhenMeasuredBelowTarget) {
   // Strong-signal users: serving them costs well under the target.
   const SlotContext ctx =
       make_context({TestUser{-55.0, 400.0}, TestUser{-55.0, 400.0}});
-  for (int slot = 0; slot < 5; ++slot) (void)scheduler.allocate(ctx);
+  for (int slot = 0; slot < 5; ++slot) (void)decide(scheduler, ctx);
   EXPECT_GT(scheduler.current_budget_mj(), initial);
   EXPECT_GT(scheduler.last_window_energy_mj(), 0.0);
 }
@@ -55,7 +56,7 @@ TEST(AdaptiveRtma, StepIsBoundedPerWindow) {
   scheduler.reset(1);
   const double initial = scheduler.current_budget_mj();
   const SlotContext ctx = make_context({TestUser{-60.0, 400.0}});
-  for (int slot = 0; slot < 3; ++slot) (void)scheduler.allocate(ctx);
+  for (int slot = 0; slot < 3; ++slot) (void)decide(scheduler, ctx);
   EXPECT_LE(scheduler.current_budget_mj(), initial * 1.5 + 1e-9);
 }
 
@@ -70,7 +71,7 @@ TEST(AdaptiveRtma, RecoversFromServeNobodyDeadlock) {
   scheduler.reset(1);
   const SlotContext ctx = make_context({TestUser{-80.0, 400.0}});
   Allocation last = Allocation::zeros(1);
-  for (int slot = 0; slot < 80; ++slot) last = scheduler.allocate(ctx);
+  for (int slot = 0; slot < 80; ++slot) last = decide(scheduler, ctx);
   EXPECT_GT(scheduler.current_budget_mj(), 120.0);
   EXPECT_GT(last.total_units(), 0);  // service resumed
 }

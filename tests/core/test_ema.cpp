@@ -15,6 +15,7 @@ namespace jstream {
 namespace {
 
 using testing::TestUser;
+using testing::decide;
 using testing::make_context;
 
 /// Exhaustive minimizer over all feasible allocations (tiny instances only).
@@ -159,7 +160,7 @@ TEST(EmaScheduler, QueueEvolvesByEq16) {
   std::vector<TestUser> users{TestUser{-110.0, 400.0}};
   users[0].rrc_promoted = false;
   const SlotContext ctx = make_context(users);
-  const Allocation alloc = ema.allocate(ctx);
+  const Allocation alloc = decide(ema, ctx);
   // PC(1) = PC(0) + tau - t(0) where t = kb / p.
   const double t = as_double(alloc.units[0]) * 100.0 / 400.0;
   EXPECT_NEAR(ema.queues().value(0), 1.0 - t, 1e-9);
@@ -171,7 +172,7 @@ TEST(EmaScheduler, QueueFrozenWhenContentExhausted) {
   std::vector<TestUser> users{TestUser{-80.0, 400.0}};
   users[0].remaining_kb = 0.0;
   const SlotContext ctx = make_context(users);
-  (void)ema.allocate(ctx);
+  (void)decide(ema, ctx);
   EXPECT_DOUBLE_EQ(ema.queues().value(0), 0.0);
 }
 
@@ -190,7 +191,7 @@ TEST(EmaScheduler, AllocationsAlwaysFeasible) {
       users.push_back(user);
     }
     const SlotContext ctx = make_context(users, 2000.0);
-    const Allocation alloc = ema.allocate(ctx);
+    const Allocation alloc = decide(ema, ctx);
     EXPECT_LE(alloc.total_units(), ctx.capacity_units);
     for (std::size_t i = 0; i < 4; ++i) {
       EXPECT_LE(alloc.units[i], ctx.users[i].alloc_cap_units);
@@ -201,7 +202,7 @@ TEST(EmaScheduler, AllocationsAlwaysFeasible) {
 TEST(EmaScheduler, RequiresResetBeforeUse) {
   EmaScheduler ema;
   const SlotContext ctx = make_context({TestUser{}});
-  EXPECT_THROW((void)ema.allocate(ctx), Error);
+  EXPECT_THROW((void)decide(ema, ctx), Error);
 }
 
 TEST(EmaScheduler, RejectsNonPositiveV) {

@@ -12,6 +12,7 @@ namespace jstream {
 namespace {
 
 using testing::TestUser;
+using testing::decide;
 using testing::make_context;
 
 double total_cost(const EmaSlotCosts& costs, const Allocation& alloc) {
@@ -117,8 +118,8 @@ TEST(EmaFastScheduler, SameQueueDynamicsAsExact) {
   EXPECT_EQ(fast.name(), "ema-fast");
   const SlotContext ctx =
       make_context({TestUser{-70.0, 400.0}, TestUser{-100.0, 500.0}});
-  const Allocation a = fast.allocate(ctx);
-  const Allocation b = exact.allocate(ctx);
+  const Allocation a = decide(fast, ctx);
+  const Allocation b = decide(exact, ctx);
   // With an unconstrained budget both solvers pick the separable optimum and
   // the queues evolve identically.
   EXPECT_EQ(a.units, b.units);

@@ -12,6 +12,7 @@ namespace jstream {
 namespace {
 
 using testing::TestUser;
+using testing::decide;
 using testing::make_context;
 
 /// One user whose forecast says the channel improves sharply next slot.
@@ -33,7 +34,7 @@ TEST(Lookahead, DefersWhenBetterSlotIsPredicted) {
   std::vector<TestUser> users{TestUser{-105.0, 400.0}};
   users[0].buffer_s = 20.0;  // healthy, no safety pressure
   const SlotContext ctx = make_context(users);
-  EXPECT_EQ(scheduler.allocate(ctx).total_units(), 0);
+  EXPECT_EQ(decide(scheduler, ctx).total_units(), 0);
 }
 
 TEST(Lookahead, PrefetchesAtTheLocalPriceMinimum) {
@@ -42,7 +43,7 @@ TEST(Lookahead, PrefetchesAtTheLocalPriceMinimum) {
   std::vector<TestUser> users{TestUser{-70.0, 400.0}};
   users[0].buffer_s = 20.0;  // below the prefetch target of 60 s
   const SlotContext ctx = make_context(users);
-  EXPECT_GT(scheduler.allocate(ctx).total_units(), 0);
+  EXPECT_GT(decide(scheduler, ctx).total_units(), 0);
 }
 
 TEST(Lookahead, SafetyOverridesPrice) {
@@ -51,7 +52,7 @@ TEST(Lookahead, SafetyOverridesPrice) {
   std::vector<TestUser> users{TestUser{-105.0, 400.0}};
   users[0].buffer_s = 1.0;  // below the safety level: transmit regardless
   const SlotContext ctx = make_context(users);
-  EXPECT_GT(scheduler.allocate(ctx).total_units(), 0);
+  EXPECT_GT(decide(scheduler, ctx).total_units(), 0);
 }
 
 TEST(Lookahead, UrgentUsersWinTheCapacity) {
@@ -64,7 +65,7 @@ TEST(Lookahead, UrgentUsersWinTheCapacity) {
   users[1].buffer_s = 0.5;   // starving
   // Capacity for roughly one user's catch-up only.
   const SlotContext ctx = make_context(users, /*capacity_kbps=*/600.0);
-  const Allocation alloc = scheduler.allocate(ctx);
+  const Allocation alloc = decide(scheduler, ctx);
   EXPECT_GT(alloc.units[1], 0);
   EXPECT_EQ(alloc.units[0], 0);
 }
@@ -76,7 +77,7 @@ TEST(Lookahead, RespectsConstraints) {
   scheduler.reset(2);
   const SlotContext ctx =
       make_context({TestUser{-60.0, 500.0}, TestUser{-90.0, 500.0}}, 3000.0);
-  const Allocation alloc = scheduler.allocate(ctx);
+  const Allocation alloc = decide(scheduler, ctx);
   EXPECT_LE(alloc.total_units(), ctx.capacity_units);
   for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_LE(alloc.units[i], ctx.users[i].alloc_cap_units);

@@ -29,6 +29,7 @@ namespace jstream {
 namespace {
 
 using testing::TestUser;
+using testing::decide;
 using testing::make_context;
 
 std::vector<std::vector<double>> constant_forecast(std::size_t users, double dbm,
@@ -98,7 +99,7 @@ TEST(PredictiveEma, PriceTablesMatchBruteForce) {
   scheduler.reset(2);
   std::vector<TestUser> users(2);
   const SlotContext ctx = make_context(users);
-  Allocation out = scheduler.allocate(ctx);  // builds the tables lazily
+  Allocation out = decide(scheduler, ctx);  // builds the tables lazily
 
   for (std::size_t user = 0; user < 2; ++user) {
     for (std::int64_t n = 0; n + 1 < checked_index(slots); ++n) {
@@ -218,7 +219,7 @@ TEST(PredictiveEma, FuzzFeasibilityAndBeatsGreedy) {
     // freshly reset, so their Eq. 16 queues agree).
     EmaScheduler twin(ema);
     twin.reset(n);
-    const Allocation alloc = scheduler.allocate(ctx);
+    const Allocation alloc = decide(scheduler, ctx);
 
     // Eq. 1 / Eq. 2 feasibility.
     ASSERT_EQ(alloc.units.size(), n);

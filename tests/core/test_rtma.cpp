@@ -10,6 +10,7 @@ namespace jstream {
 namespace {
 
 using testing::TestUser;
+using testing::decide;
 using testing::make_context;
 
 TEST(Rtma, SatisfiesBothConstraints) {
@@ -17,7 +18,7 @@ TEST(Rtma, SatisfiesBothConstraints) {
   rtma.reset(3);
   const SlotContext ctx = make_context({TestUser{-60.0, 300.0}, TestUser{-80.0, 450.0},
                                         TestUser{-100.0, 600.0}});
-  const Allocation alloc = rtma.allocate(ctx);
+  const Allocation alloc = decide(rtma, ctx);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_GE(alloc.units[i], 0);
     EXPECT_LE(alloc.units[i], ctx.users[i].alloc_cap_units);
@@ -30,7 +31,7 @@ TEST(Rtma, CoversEveryUsersNeedWhenCapacityAllows) {
   rtma.reset(3);
   const SlotContext ctx = make_context({TestUser{-60.0, 300.0}, TestUser{-70.0, 450.0},
                                         TestUser{-80.0, 600.0}});
-  const Allocation alloc = rtma.allocate(ctx);
+  const Allocation alloc = decide(rtma, ctx);
   // need = ceil(tau * p / delta): 3, 5, 6 units.
   EXPECT_GE(alloc.units[0], 3);
   EXPECT_GE(alloc.units[1], 5);
@@ -43,7 +44,7 @@ TEST(Rtma, ExhaustsCapacityViaMultiplePasses) {
   // Two strong users; BS capacity 20 units binds first.
   const SlotContext ctx = make_context(
       {TestUser{-50.0, 300.0}, TestUser{-50.0, 300.0}}, /*capacity_kbps=*/2000.0);
-  const Allocation alloc = rtma.allocate(ctx);
+  const Allocation alloc = decide(rtma, ctx);
   EXPECT_EQ(alloc.total_units(), ctx.capacity_units);
 }
 
@@ -53,7 +54,7 @@ TEST(Rtma, LowBitrateUsersServedFirstUnderScarcity) {
   // Capacity of 3 units: exactly the low-rate user's need.
   const SlotContext ctx = make_context(
       {TestUser{-80.0, 600.0}, TestUser{-80.0, 300.0}}, /*capacity_kbps=*/300.0);
-  const Allocation alloc = rtma.allocate(ctx);
+  const Allocation alloc = decide(rtma, ctx);
   EXPECT_EQ(alloc.units[1], 3);  // 300 KB/s user gets its full need
   EXPECT_EQ(alloc.units[0], 0);
 }
@@ -72,7 +73,7 @@ TEST(Rtma, EnergyBudgetFiltersWeakSignals) {
   rtma.reset(2);
   const SlotContext ctx =
       make_context({TestUser{-90.0, 400.0}, TestUser{-80.0, 400.0}});
-  const Allocation alloc = rtma.allocate(ctx);
+  const Allocation alloc = decide(rtma, ctx);
   EXPECT_EQ(alloc.units[0], 0);  // below threshold
   EXPECT_GT(alloc.units[1], 0);
   EXPECT_NEAR(rtma.last_threshold_dbm(), -85.0, 1e-6);
@@ -82,7 +83,7 @@ TEST(Rtma, UnbudgetedRunHasNoThreshold) {
   RtmaScheduler rtma;
   rtma.reset(1);
   const SlotContext ctx = make_context({TestUser{-110.0, 400.0}});
-  const Allocation alloc = rtma.allocate(ctx);
+  const Allocation alloc = decide(rtma, ctx);
   EXPECT_GT(alloc.units[0], 0);
   EXPECT_TRUE(std::isinf(rtma.last_threshold_dbm()));
 }
@@ -93,7 +94,7 @@ TEST(Rtma, SkipsUsersWithNothingLeft) {
   std::vector<TestUser> users{TestUser{-70.0, 400.0}, TestUser{-70.0, 400.0}};
   users[0].remaining_kb = 0.0;
   const SlotContext ctx = make_context(users);
-  const Allocation alloc = rtma.allocate(ctx);
+  const Allocation alloc = decide(rtma, ctx);
   EXPECT_EQ(alloc.units[0], 0);
   EXPECT_GT(alloc.units[1], 0);
 }

@@ -10,8 +10,11 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "baselines/default_scheduler.hpp"
+#include "baselines/factory.hpp"
 #include "core/adaptive_rtma.hpp"
 #include "core/ema.hpp"
 #include "core/ema_fast.hpp"
@@ -21,7 +24,9 @@
 #include "radio/link_model.hpp"
 #include "radio/signal_trace.hpp"
 #include "session/service.hpp"
+#include "sim/experiment.hpp"
 #include "sim/fault.hpp"
+#include "sim/scenario.hpp"
 #include "test_helpers.hpp"
 #include "common/units.hpp"
 
@@ -165,44 +170,6 @@ TEST(ZeroAllocSlot, SoaRebuildSteadyStateIsAllocationFree) {
   EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
 }
 
-TEST(ZeroAllocSlot, EmaWarmStartReuseEngagesWithoutAllocating) {
-  // The cross-slot reuse layers (memo, separable path, checkpointed DP) keep
-  // all their state in grow-only workspace buffers: the steady state must be
-  // allocation-free even while the reuse machinery is actively saving and
-  // consuming warm state every slot.
-  auto scheduler = std::make_unique<EmaScheduler>();
-  const EmaScheduler* ema = scheduler.get();
-  auto endpoints = make_endpoints({-65.0, -75.0, -85.0, -95.0, -105.0}, 400.0, 1e9);
-  const BaseStation bs(2000.0);
-  Framework framework(make_collector(), std::move(scheduler),
-                      SchedulingMode::kEnergyMinimization, endpoints.size());
-  (void)allocations_over_slots(framework, endpoints, bs, 0, 50);
-  EXPECT_EQ(allocations_over_slots(framework, endpoints, bs, 50, 200), 0u);
-  const EmaDpWorkspace& ws = ema->dp_workspace();
-  EXPECT_GT(ws.dp_solves + ws.separable_hits + ws.memo_hits, 0);
-  EXPECT_EQ(ema->solve_certificate()->certified_slots, 0);  // exact mode
-}
-
-TEST(ZeroAllocSlot, EmaCoarsenedSteadyStateIsAllocationFree) {
-  // Certified coarsening (coarsen_units = 8): coarse instance build, coarse
-  // DP, refinement and the Lagrangian certificate all run out of the
-  // scheduler's grow-only coarse workspace.
-  EmaConfig config;
-  config.coarsen_units = 8;
-  auto scheduler = std::make_unique<EmaScheduler>(config);
-  const EmaScheduler* ema = scheduler.get();
-  auto endpoints = make_endpoints({-65.0, -75.0, -85.0, -95.0, -105.0}, 400.0, 1e9);
-  const BaseStation bs(2000.0);
-  Framework framework(make_collector(), std::move(scheduler),
-                      SchedulingMode::kEnergyMinimization, endpoints.size());
-  (void)allocations_over_slots(framework, endpoints, bs, 0, 50);
-  EXPECT_EQ(allocations_over_slots(framework, endpoints, bs, 50, 200), 0u);
-  const SolveCertificate* cert = ema->solve_certificate();
-  ASSERT_NE(cert, nullptr);
-  EXPECT_EQ(cert->exact_slots + cert->certified_slots, 250);
-  EXPECT_GE(cert->gap_max, 0.0);
-}
-
 TEST(ZeroAllocSlot, FaultedSlotPathIsAllocationFree) {
   // Degraded-cell path: the FaultInjector's degrade/reconcile hooks run on
   // every slot with all four fault families firing inside the measured
@@ -296,6 +263,42 @@ TEST(ZeroAllocSlot, TracedSlotPathIsAllocationFree) {
   (void)allocations_over_slots(framework, endpoints, bs, 0, 50);
   EXPECT_EQ(allocations_over_slots(framework, endpoints, bs, 50, 200), 0u);
 }
+
+// Paper scale, every factory scheduler: paper_scenario(40) built through
+// make_scheduler_for_scenario, measured over the perf gate's window (20
+// warm-up slots, then 200 slots). The predictive scheduler runs with a
+// nonzero horizon so its price-table cost term is on the measured path.
+class ZeroAllocPaperScale : public ::testing::TestWithParam<std::string> {};
+
+std::vector<std::string> paper_scale_names() {
+  std::vector<std::string> names = scheduler_names();
+  for (const std::string& name : scenario_scheduler_names()) names.push_back(name);
+  return names;
+}
+
+TEST_P(ZeroAllocPaperScale, SteadyStateIsAllocationFree) {
+  ScenarioConfig scenario = paper_scenario(/*users=*/40, /*seed=*/42);
+  scenario.max_slots = 220;
+  SchedulerOptions options;
+  options.ema_predictive.horizon_slots = 30;
+  std::vector<UserEndpoint> endpoints = build_endpoints(scenario);
+  const BaseStation bs(capacity_profile(scenario));
+  Framework framework(InfoCollector(scenario.slot, scenario.link, scenario.radio),
+                      make_scheduler_for_scenario(GetParam(), options, scenario),
+                      SchedulingMode::kBaseline, scenario.users);
+  (void)allocations_over_slots(framework, endpoints, bs, 0, 20);
+  EXPECT_EQ(allocations_over_slots(framework, endpoints, bs, 20, 200), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FactorySchedulers, ZeroAllocPaperScale, ::testing::ValuesIn(paper_scale_names()),
+    [](const ::testing::TestParamInfo<std::string>& param_info) {
+      std::string id = param_info.param;
+      for (char& c : id) {
+        if (c == '-') c = '_';
+      }
+      return id;
+    });
 
 }  // namespace
 }  // namespace jstream

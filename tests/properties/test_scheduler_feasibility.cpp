@@ -13,6 +13,7 @@ namespace jstream {
 namespace {
 
 using testing::TestUser;
+using testing::decide;
 using testing::make_context;
 
 class SchedulerFeasibility : public ::testing::TestWithParam<std::string> {};
@@ -37,7 +38,7 @@ TEST_P(SchedulerFeasibility, HoldsOnRandomSnapshots) {
         users.push_back(user);
       }
       const SlotContext ctx = make_context(users, capacity, SlotParams{}, slot);
-      const Allocation alloc = scheduler->allocate(ctx);
+      const Allocation alloc = decide(*scheduler, ctx);
       std::vector<std::int64_t> caps;
       for (const auto& user : ctx.users) caps.push_back(user.alloc_cap_units);
       const FeasibilityReport report =
@@ -55,7 +56,7 @@ TEST_P(SchedulerFeasibility, ZeroCapacityYieldsEmptyAllocation) {
   SlotContext ctx = make_context(
       {TestUser{-70.0, 400.0}, TestUser{-80.0, 500.0}, TestUser{-90.0, 300.0}});
   ctx.capacity_units = 0;
-  EXPECT_EQ(scheduler->allocate(ctx).total_units(), 0);
+  EXPECT_EQ(decide(*scheduler, ctx).total_units(), 0);
 }
 
 TEST_P(SchedulerFeasibility, NoAllocationToExhaustedUsers) {
@@ -64,7 +65,7 @@ TEST_P(SchedulerFeasibility, NoAllocationToExhaustedUsers) {
   std::vector<TestUser> users{TestUser{-70.0, 400.0}, TestUser{-70.0, 400.0}};
   users[0].remaining_kb = 0.0;
   const SlotContext ctx = make_context(users);
-  EXPECT_EQ(scheduler->allocate(ctx).units[0], 0);
+  EXPECT_EQ(decide(*scheduler, ctx).units[0], 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, SchedulerFeasibility,

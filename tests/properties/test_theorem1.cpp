@@ -68,7 +68,7 @@ TEST(Theorem1, VirtualQueuesStayBoundedOverASession) {
       user.rrc_promoted = slot > 0;
       users.push_back(user);
     }
-    (void)ema.allocate(testing::make_context(users, 20000.0, SlotParams{}, slot));
+    (void)testing::decide(ema, testing::make_context(users, 20000.0, SlotParams{}, slot));
     for (std::size_t i = 0; i < n; ++i) {
       worst = std::max(worst, std::abs(ema.queues().value(i)));
     }

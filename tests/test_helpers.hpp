@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "gateway/info_collector.hpp"
+#include "gateway/scheduler.hpp"
 #include "gateway/user_endpoint.hpp"
 #include "net/base_station.hpp"
 #include "radio/link_model.hpp"
@@ -95,6 +96,13 @@ inline SlotContext make_context(const std::vector<TestUser>& users,
   }
   ctx.finalize();
   return ctx;
+}
+
+/// One decision through Scheduler::allocate_into, into a fresh Allocation.
+inline Allocation decide(Scheduler& scheduler, const SlotContext& ctx) {
+  Allocation out;
+  scheduler.allocate_into(ctx, out);
+  return out;
 }
 
 }  // namespace jstream::testing
