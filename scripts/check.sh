@@ -75,10 +75,6 @@ if [[ "${SKIP_SMOKE:-0}" != 1 ]]; then
   # equivalence, all under the validator; then the session suites and the
   # golden digests (batch + service). See docs/SERVICE.md.
   REPRO_SLOTS=50 build/bench/bench_service_steady --validate > /dev/null
-  # Distributed engine gate: a 2-process sharded campaign (batch + service)
-  # must merge bit-identically to the serial engine, with the paper-invariant
-  # validator active inside every forked worker. See docs/PERFORMANCE.md.
-  REPRO_SLOTS=50 build/bench/bench_distrib_smoke --validate > /dev/null
   # Prediction gate: the horizon x error-sigma sweep of the prediction-
   # assisted EMA (benign + faulted + stale-feedback variants) under the
   # validator. The >= 50% oracle-headroom recovery acceptance bound only
@@ -92,17 +88,17 @@ else
 fi
 
 if [[ "${SKIP_PERF:-0}" != 1 ]]; then
-  stage "6/7 perf gate (bench_perf_gate -> BENCH_PR14.json)"
+  stage "6/7 perf gate (bench_perf_gate -> BENCH_PR17.json)"
   # Enforces the pinned regression gates: the exact-EMA solver >= 5x over the
   # paper-literal DP, exact EMA < 1 ms/slot end-to-end at N = 1000, zero
   # steady-state allocations in every slot-path row, the campaign cache >= 3x
-  # on the full grid, the 4-shard multi-process merge bit-identical to
-  # serial, the disk-warm trace-store rerun (zero regenerations always; >= 3x
-  # at full scale), and the 110k-session service-scale bounds. With
+  # on the full grid, the pooled campaign bit-identical to one thread, the
+  # disk-warm trace-store rerun (zero regenerations always; >= 3x at full
+  # scale), and the 110k-session service-scale bounds. With
   # REPRO_SLOTS set the timing/scale gates turn informational (the binary
   # still verifies solver agreement, the allocation gate, and both
   # bit-identity gates); unset it for the real gate.
-  build/bench/bench_perf_gate --out build/BENCH_PR14.json
+  build/bench/bench_perf_gate --out build/BENCH_PR17.json
 else
   stage "6/7 perf gate — SKIPPED (SKIP_PERF=1)"
 fi

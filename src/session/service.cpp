@@ -49,6 +49,10 @@ std::uint64_t service_fingerprint(const ServiceConfig& config) {
   return arrival_fingerprint(config.arrivals);
 }
 
+std::uint64_t service_digest(const ServiceResult& result) {
+  return metrics_digest(result.run, result.service);
+}
+
 ServiceSimulator::ServiceSimulator(ServiceConfig config,
                                    std::unique_ptr<Scheduler> scheduler,
                                    SchedulingMode mode,

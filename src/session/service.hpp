@@ -56,6 +56,10 @@ struct ServiceResult {
   ServiceMetrics service;  ///< session flow + steady-state averages
 };
 
+/// XXH64 over every field of both layers, session records included
+/// (metrics_digest(run, service)): equal digests <=> bit-identical results.
+[[nodiscard]] std::uint64_t service_digest(const ServiceResult& result);
+
 /// Drives one service run; see the file comment for slot anatomy.
 class ServiceSimulator {
  public:

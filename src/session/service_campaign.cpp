@@ -1,9 +1,6 @@
 #include "session/service_campaign.hpp"
 
 #include "baselines/factory.hpp"
-#include "common/error.hpp"
-#include "common/hash.hpp"
-#include "common/units.hpp"
 
 namespace jstream {
 
@@ -26,141 +23,6 @@ std::vector<ServiceResult> run_service_campaign(
         return run_service_experiment(specs[i], options.keep_series,
                                       std::move(trace));
       });
-}
-
-void encode_service_result(ByteWriter& out, const ServiceResult& result) {
-  encode_run_metrics(out, result.run);
-  const ServiceMetrics& service = result.service;
-  out.i64(service.slots_run);
-  out.i64(service.warmup_slots);
-  out.u64(static_cast<std::uint64_t>(service.capacity_slots));
-  out.i64(service.offered);
-  out.i64(service.admitted);
-  out.i64(service.rejected);
-  out.i64(service.blocked);
-  out.i64(service.completed);
-  out.i64(service.aborted);
-  out.i64(service.in_flight_at_end);
-  out.i64(service.measured_slots);
-  out.f64(service.concurrency_sum);
-  out.u64(static_cast<std::uint64_t>(service.peak_concurrency));
-  out.f64(service.rebuffer_sum_s);
-  out.i64(service.active_user_slots);
-  out.f64(service.energy_sum_mj);
-  out.i64(service.sessions_measured);
-  out.f64(service.session_rebuffer_sum_s);
-  out.f64(service.session_energy_sum_mj);
-  out.f64(service.session_delivered_sum_kb);
-  out.i64(service.session_length_slots_sum);
-  out.u64(static_cast<std::uint64_t>(service.records.size()));
-  for (const SessionRecord& record : service.records) {
-    out.u64(static_cast<std::uint64_t>(record.user_slot));
-    out.i64(record.arrival_index);
-    out.i64(record.start_slot);
-    out.i64(record.end_slot);
-    out.f64(record.delivered_kb);
-    out.f64(record.rebuffer_s);
-    out.f64(record.energy_mj);
-    out.boolean(record.completed);
-  }
-}
-
-ServiceResult decode_service_result(ByteReader& in) {
-  ServiceResult result;
-  result.run = decode_run_metrics(in);
-  ServiceMetrics& service = result.service;
-  service.slots_run = in.i64();
-  service.warmup_slots = in.i64();
-  service.capacity_slots = checked_size(in.i64());
-  service.offered = in.i64();
-  service.admitted = in.i64();
-  service.rejected = in.i64();
-  service.blocked = in.i64();
-  service.completed = in.i64();
-  service.aborted = in.i64();
-  service.in_flight_at_end = in.i64();
-  service.measured_slots = in.i64();
-  service.concurrency_sum = in.f64();
-  service.peak_concurrency = checked_size(in.i64());
-  service.rebuffer_sum_s = in.f64();
-  service.active_user_slots = in.i64();
-  service.energy_sum_mj = in.f64();
-  service.sessions_measured = in.i64();
-  service.session_rebuffer_sum_s = in.f64();
-  service.session_energy_sum_mj = in.f64();
-  service.session_delivered_sum_kb = in.f64();
-  service.session_length_slots_sum = in.i64();
-  const std::size_t records = checked_size(in.i64());
-  // Each serialized record occupies 8 fixed-width fields; reject counts the
-  // remaining payload cannot possibly hold before reserving.
-  require(records <= in.remaining() / (8 * sizeof(std::uint64_t)),
-          "frame truncated");
-  service.records.resize(records);
-  for (SessionRecord& record : service.records) {
-    record.user_slot = checked_size(in.i64());
-    record.arrival_index = in.i64();
-    record.start_slot = in.i64();
-    record.end_slot = in.i64();
-    record.delivered_kb = in.f64();
-    record.rebuffer_s = in.f64();
-    record.energy_mj = in.f64();
-    record.completed = in.boolean();
-  }
-  return result;
-}
-
-std::uint64_t service_digest(const ServiceResult& result) {
-  ByteWriter out;
-  encode_service_result(out, result);
-  return xxh64(out.bytes().data(), out.bytes().size());
-}
-
-std::uint64_t service_digest(std::span<const ServiceResult> results) {
-  ByteWriter out;
-  out.u64(static_cast<std::uint64_t>(results.size()));
-  for (const ServiceResult& result : results) encode_service_result(out, result);
-  return xxh64(out.bytes().data(), out.bytes().size());
-}
-
-namespace {
-
-class ServiceShardEncoder final : public ShardEncoder {
- public:
-  ServiceShardEncoder(std::span<const ServiceExperimentSpec> specs,
-                      const CampaignOptions& campaign)
-      : specs_(specs), campaign_(campaign) {}
-
-  std::vector<std::uint8_t> encode_slice(std::size_t /*shard*/,
-                                         ShardRange range) override {
-    const std::vector<ServiceResult> results =
-        run_service_campaign(specs_.subspan(range.begin, range.size()), campaign_);
-    ByteWriter out;
-    for (const ServiceResult& result : results) encode_service_result(out, result);
-    return out.take();
-  }
-
- private:
-  std::span<const ServiceExperimentSpec> specs_;
-  const CampaignOptions& campaign_;
-};
-
-}  // namespace
-
-std::vector<ServiceResult> run_service_campaign_distributed(
-    std::span<const ServiceExperimentSpec> specs, const DistribOptions& options) {
-  if (specs.empty()) return {};
-  ServiceShardEncoder encoder(specs, options.campaign);
-  const std::vector<ShardPayload> payloads =
-      run_forked_shards(specs.size(), options.processes, options.numa_bind, encoder);
-  std::vector<ServiceResult> merged(specs.size());
-  for (const ShardPayload& shard : payloads) {
-    ByteReader in(shard.bytes);
-    for (std::size_t i = shard.range.begin; i < shard.range.end; ++i) {
-      merged[i] = decode_service_result(in);
-    }
-    in.finish();
-  }
-  return merged;
 }
 
 }  // namespace jstream

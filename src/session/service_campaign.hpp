@@ -13,7 +13,6 @@
 
 #include "session/service.hpp"
 #include "sim/campaign.hpp"
-#include "sim/distrib.hpp"
 
 namespace jstream {
 
@@ -35,22 +34,5 @@ struct ServiceExperimentSpec {
 /// each spec's service fingerprint.
 [[nodiscard]] std::vector<ServiceResult> run_service_campaign(
     std::span<const ServiceExperimentSpec> specs, const CampaignOptions& options = {});
-
-/// Canonical binary encoding of one service run (RunMetrics + ServiceMetrics,
-/// session records included). decode(encode(r)) reproduces r bit for bit —
-/// same contract as encode_run_metrics, extended with the session-flow side.
-void encode_service_result(ByteWriter& out, const ServiceResult& result);
-[[nodiscard]] ServiceResult decode_service_result(ByteReader& in);
-
-/// XXH64 over the canonical encoding: equal digests <=> bit-identical service
-/// results (the span overload digests the whole result vector).
-[[nodiscard]] std::uint64_t service_digest(const ServiceResult& result);
-[[nodiscard]] std::uint64_t service_digest(std::span<const ServiceResult> results);
-
-/// run_service_campaign split across worker processes (sim/distrib fork/pipe
-/// engine); the merged result vector is bit-identical to
-/// run_service_campaign(specs, options.campaign).
-[[nodiscard]] std::vector<ServiceResult> run_service_campaign_distributed(
-    std::span<const ServiceExperimentSpec> specs, const DistribOptions& options = {});
 
 }  // namespace jstream

@@ -1,12 +1,118 @@
 #include "sim/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
 
 namespace jstream {
+
+namespace {
+
+/// Little-endian byte image the digests hash: integers fixed-width, doubles
+/// as their IEEE-754 bit patterns, so no rounding ever hides a difference.
+class DigestBytes {
+ public:
+  void u64(std::uint64_t value) { append(&value, sizeof(value)); }
+  void i64(std::int64_t value) { u64(std::bit_cast<std::uint64_t>(value)); }
+  void f64(double value) { u64(std::bit_cast<std::uint64_t>(value)); }
+  void boolean(bool value) { u64(value ? 1 : 0); }
+  void doubles(std::span<const double> values) {
+    u64(values.size());
+    append(values.data(), values.size_bytes());
+  }
+  [[nodiscard]] std::uint64_t digest() const {
+    return xxh64(bytes_.data(), bytes_.size());
+  }
+
+ private:
+  void append(const void* data, std::size_t size) {
+    if (size == 0) return;
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + size);
+    std::memcpy(bytes_.data() + at, data, size);
+  }
+
+  std::vector<std::uint8_t> bytes_;
+};
+
+void encode(DigestBytes& out, const RunMetrics& metrics) {
+  out.i64(metrics.slots_run);
+  out.u64(metrics.per_user.size());
+  for (const UserTotals& user : metrics.per_user) {
+    out.f64(user.trans_mj);
+    out.f64(user.tail_mj);
+    out.f64(user.rebuffer_s);
+    out.f64(user.delivered_kb);
+    out.i64(user.session_slots);
+    out.i64(user.tx_slots);
+    out.boolean(user.playback_finished);
+  }
+  out.doubles(metrics.slot_fairness);
+  out.doubles(metrics.slot_energy_mj);
+  out.doubles(metrics.rebuffer_samples_s);
+}
+
+void encode(DigestBytes& out, const ServiceMetrics& service) {
+  out.i64(service.slots_run);
+  out.i64(service.warmup_slots);
+  out.u64(service.capacity_slots);
+  out.i64(service.offered);
+  out.i64(service.admitted);
+  out.i64(service.rejected);
+  out.i64(service.blocked);
+  out.i64(service.completed);
+  out.i64(service.aborted);
+  out.i64(service.in_flight_at_end);
+  out.i64(service.measured_slots);
+  out.f64(service.concurrency_sum);
+  out.u64(service.peak_concurrency);
+  out.f64(service.rebuffer_sum_s);
+  out.i64(service.active_user_slots);
+  out.f64(service.energy_sum_mj);
+  out.i64(service.sessions_measured);
+  out.f64(service.session_rebuffer_sum_s);
+  out.f64(service.session_energy_sum_mj);
+  out.f64(service.session_delivered_sum_kb);
+  out.i64(service.session_length_slots_sum);
+  out.u64(service.records.size());
+  for (const SessionRecord& record : service.records) {
+    out.u64(record.user_slot);
+    out.i64(record.arrival_index);
+    out.i64(record.start_slot);
+    out.i64(record.end_slot);
+    out.f64(record.delivered_kb);
+    out.f64(record.rebuffer_s);
+    out.f64(record.energy_mj);
+    out.boolean(record.completed);
+  }
+}
+
+}  // namespace
+
+std::uint64_t metrics_digest(const RunMetrics& metrics) {
+  DigestBytes out;
+  encode(out, metrics);
+  return out.digest();
+}
+
+std::uint64_t metrics_digest(std::span<const RunMetrics> metrics) {
+  DigestBytes out;
+  out.u64(metrics.size());
+  for (const RunMetrics& m : metrics) encode(out, m);
+  return out.digest();
+}
+
+std::uint64_t metrics_digest(const RunMetrics& run, const ServiceMetrics& service) {
+  DigestBytes out;
+  encode(out, run);
+  encode(out, service);
+  return out.digest();
+}
 
 double RunMetrics::total_energy_mj() const noexcept {
   return total_trans_mj() + total_tail_mj();

@@ -73,6 +73,13 @@ ScenarioConfig paper_scenario_with_data_amount(std::size_t users, double avg_dat
 void validate(const ScenarioConfig& config) {
   require(config.users > 0, "scenario needs at least one user");
   require(config.max_slots > 0, "scenario needs at least one slot");
+  // Infinite values would pass the range checks below and then break deep in
+  // the run (an int64 cast of inf, a session that never ends). backhaul_kbps
+  // stays exempt: +inf is the gateway's own "unlimited".
+  require(std::isfinite(config.slot.tau_s), "slot length must be finite");
+  require(std::isfinite(config.capacity_kbps), "capacity must be finite");
+  require(std::isfinite(config.video_max_mb), "maximum video size must be finite");
+  require(std::isfinite(config.bitrate_max_kbps), "maximum bitrate must be finite");
   require(config.slot.tau_s > 0.0, "slot length must be positive");
   require(config.slot.delta_kb > 0.0, "frame size must be positive");
   require(config.capacity_kbps > 0.0, "capacity must be positive");

@@ -20,8 +20,8 @@
 //
 // The store is safe to share across threads and across processes: per-file
 // atomic renames make racing writers of one key converge on one complete
-// file, which is exactly how the multi-process campaign runner's shards
-// (src/sim/distrib) share one warm directory.
+// file, so concurrent campaigns — in one process or several — can share one
+// warm directory.
 #pragma once
 
 #include <cstdint>

@@ -20,8 +20,8 @@
 #include "common/rng.hpp"
 #include "core/ema.hpp"
 #include "sim/catalog.hpp"
-#include "sim/distrib.hpp"
 #include "sim/experiment.hpp"
+#include "sim/metrics.hpp"
 #include "test_helpers.hpp"
 #include "common/units.hpp"
 

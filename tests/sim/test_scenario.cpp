@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/error.hpp"
 #include "common/units.hpp"
 
@@ -90,6 +93,56 @@ TEST(Scenario, ValidateCatchesBrokenConfigs) {
   config = paper_scenario();
   config.link.power = nullptr;
   EXPECT_THROW(validate(config), Error);
+}
+
+/// The message validate() rejects `config` with ("" when it accepts it).
+std::string validate_error(const ScenarioConfig& config) {
+  try {
+    validate(config);
+  } catch (const Error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+/// Sets one field to +inf and then NaN; both must fail with that field's
+/// named error, not a later range check or a failure deep in the run.
+void expect_non_finite_rejected(void (*set_field)(ScenarioConfig&, double),
+                                const std::string& message) {
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    ScenarioConfig config = paper_scenario(5);
+    set_field(config, bad);
+    const std::string error = validate_error(config);
+    EXPECT_NE(error.find(message), std::string::npos)
+        << "value " << bad << ": got \"" << error << "\"";
+  }
+}
+
+TEST(Scenario, NonFiniteSlotLengthIsRejected) {
+  expect_non_finite_rejected([](ScenarioConfig& c, double v) { c.slot.tau_s = v; },
+                             "slot length must be finite");
+}
+
+TEST(Scenario, NonFiniteCapacityIsRejected) {
+  expect_non_finite_rejected([](ScenarioConfig& c, double v) { c.capacity_kbps = v; },
+                             "capacity must be finite");
+}
+
+TEST(Scenario, NonFiniteVideoSizeIsRejected) {
+  expect_non_finite_rejected([](ScenarioConfig& c, double v) { c.video_max_mb = v; },
+                             "maximum video size must be finite");
+}
+
+TEST(Scenario, NonFiniteBitrateIsRejected) {
+  expect_non_finite_rejected([](ScenarioConfig& c, double v) { c.bitrate_max_kbps = v; },
+                             "maximum bitrate must be finite");
+}
+
+TEST(Scenario, InfiniteBackhaulStaysUnlimited) {
+  ScenarioConfig config = paper_scenario(5);
+  config.backhaul_kbps = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(validate_error(config), "");
 }
 
 }  // namespace
