@@ -3,13 +3,13 @@
 // thunks; results flow back through futures or the parallel_for helper.
 #pragma once
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -68,34 +68,20 @@ class ThreadPool {
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn);
 
-/// Maps fn over [0, count) and collects results in index order. Chunked like
-/// parallel_for (one pool task per chunk); the same no-cross-index
-/// synchronization rule applies.
+/// Maps fn over [0, count) and collects results in index order. Runs on
+/// parallel_for, so the same chunking and no-cross-index synchronization rule
+/// apply, and an exception surfaces only after every chunk has finished: no
+/// task outlives the call, so the state `fn` references may be freed while
+/// the error unwinds.
 template <typename Fn>
 [[nodiscard]] auto parallel_map(ThreadPool& pool, std::size_t count, Fn fn)
     -> std::vector<std::invoke_result_t<Fn, std::size_t>> {
   using Result = std::invoke_result_t<Fn, std::size_t>;
-  if (count == 0) return {};
-  const std::size_t chunks = parallel_chunk_count(pool, count);
-  std::vector<std::future<std::vector<Result>>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * (count / chunks) + std::min(c, count % chunks);
-    const std::size_t end =
-        (c + 1) * (count / chunks) + std::min(c + 1, count % chunks);
-    futures.push_back(pool.submit([fn, begin, end] {
-      std::vector<Result> chunk;
-      chunk.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i) chunk.push_back(fn(i));
-      return chunk;
-    }));
-  }
+  std::vector<std::optional<Result>> slots(count);
+  parallel_for(pool, count, [&](std::size_t i) { slots[i].emplace(fn(i)); });
   std::vector<Result> results;
   results.reserve(count);
-  for (auto& f : futures) {
-    std::vector<Result> chunk = f.get();
-    for (auto& value : chunk) results.push_back(std::move(value));
-  }
+  for (std::optional<Result>& slot : slots) results.push_back(std::move(*slot));
   return results;
 }
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 
 namespace jstream {
 namespace {
@@ -55,6 +57,22 @@ TEST(ParallelMap, PreservesIndexOrder) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i], static_cast<int>(i * i));
   }
+}
+
+TEST(ParallelMap, WaitsForEveryChunkBeforeRethrowing) {
+  // The caller's state must outlive every task: when one chunk throws, the
+  // exception surfaces only after the other chunks have run.
+  std::atomic<int> finished{0};
+  ThreadPool pool(2);
+  EXPECT_THROW((void)parallel_map(pool, 8,
+                                  [&finished](std::size_t i) {
+                                    if (i == 0) throw std::runtime_error("boom");
+                                    std::this_thread::sleep_for(
+                                        std::chrono::milliseconds(5));
+                                    return finished.fetch_add(1);
+                                  }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 7);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <span>
 #include <vector>
 
 #include "session/service_campaign.hpp"
@@ -42,44 +41,32 @@ std::vector<ServiceExperimentSpec> service_specs(std::uint64_t seed, double rate
   return specs;
 }
 
-void expect_identical(const std::vector<ServiceResult>& a,
-                      const std::vector<ServiceResult>& b,
-                      std::span<const ServiceExperimentSpec> specs) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].service.offered, b[i].service.offered) << specs[i].label;
-    EXPECT_EQ(a[i].service.admitted, b[i].service.admitted) << specs[i].label;
-    EXPECT_EQ(a[i].service.completed, b[i].service.completed) << specs[i].label;
-    EXPECT_EQ(a[i].service.aborted, b[i].service.aborted) << specs[i].label;
-    EXPECT_EQ(a[i].service.rebuffer_sum_s, b[i].service.rebuffer_sum_s)
-        << specs[i].label;
-    EXPECT_EQ(a[i].service.energy_sum_mj, b[i].service.energy_sum_mj)
-        << specs[i].label;
-    EXPECT_EQ(a[i].run.total_energy_mj(), b[i].run.total_energy_mj())
-        << specs[i].label;
-    EXPECT_EQ(a[i].run.total_rebuffer_s(), b[i].run.total_rebuffer_s())
-        << specs[i].label;
-  }
-}
-
 TEST(ServiceCampaignConcurrent, ShardedServiceGridMatchesSerialBaseline) {
   std::vector<ServiceExperimentSpec> specs = service_specs(91, 0.3);
   const std::vector<ServiceExperimentSpec> more = service_specs(92, 0.3);
   specs.insert(specs.end(), more.begin(), more.end());
+  for (ServiceExperimentSpec& spec : specs) spec.config.keep_session_records = true;
 
   TraceCache serial_cache;
   CampaignOptions serial;
   serial.threads = 1;
+  serial.keep_series = true;
   serial.cache = &serial_cache;
   const std::vector<ServiceResult> baseline = run_service_campaign(specs, serial);
 
   TraceCache shared_cache;
-  CampaignOptions parallel;
+  CampaignOptions parallel = serial;
   parallel.threads = 4;
   parallel.cache = &shared_cache;
   const std::vector<ServiceResult> sharded = run_service_campaign(specs, parallel);
 
-  expect_identical(sharded, baseline, specs);
+  // Every field of both layers, per-slot series and session records
+  // included, through the digest.
+  ASSERT_EQ(sharded.size(), baseline.size());
+  for (std::size_t i = 0; i < sharded.size(); ++i) {
+    EXPECT_FALSE(baseline[i].service.records.empty()) << specs[i].label;
+    EXPECT_EQ(service_digest(sharded[i]), service_digest(baseline[i])) << specs[i].label;
+  }
   // One substrate per (seed, arrival fingerprint): three schedulers share it.
   EXPECT_EQ(shared_cache.misses(), 2u);
 }
@@ -111,11 +98,8 @@ TEST(ServiceCampaignConcurrent, ServiceAndBatchEntriesShareOrIsolateByFingerprin
 
   // Sharing is sound because zero-arrival service IS the batch run.
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(service[i].run.total_energy_mj(), batch[i].total_energy_mj())
+    EXPECT_EQ(metrics_digest(service[i].run), metrics_digest(batch[i]))
         << batch_specs[i].label;
-    EXPECT_EQ(service[i].run.total_rebuffer_s(), batch[i].total_rebuffer_s())
-        << batch_specs[i].label;
-    EXPECT_EQ(service[i].run.slots_run, batch[i].slots_run) << batch_specs[i].label;
   }
   // And the Poisson cells genuinely ran a different workload.
   bool any_differs = false;
