@@ -1,6 +1,6 @@
 // Perf regression gate for the slot engine (see docs/PERFORMANCE.md).
 //
-// Six measurement families, all on pinned deterministic workloads:
+// Seven measurement families, all on pinned deterministic workloads:
 //
 //  1. Solver microbench: the production EMA solver against the paper-literal
 //     O(N*M*phi_max) reference on the same instances, timed in alternating
@@ -35,8 +35,13 @@
 //     numbers bench_service_steady part 3 reports): ns/user-slot ceiling,
 //     RSS at the horizon <= 1.5x RSS after the fill, and the sustained
 //     >= 100k concurrency floor, all enforced at full scale.
+//  7. Telemetry cost: the N = 1000 exact-EMA slot path and the 4-thread
+//     pool grid, each run with telemetry off and on in alternating blocks.
+//     Both sides must digest equally (telemetry is observation-only),
+//     enforced at every scale; the on/off time ratios are reported, not
+//     gated, since this host's speed regimes would make a bound flake.
 //
-// Results land in BENCH_PR17.json (override with --out <path>); the JSON
+// Results land in BENCH_PR18.json (override with --out <path>); the JSON
 // schema is documented in docs/PERFORMANCE.md. REPRO_SLOTS in the
 // environment shrinks every loop for smoke runs. The paper-invariant
 // validator must stay at its compiled-out-of-the-hot-path default here: the
@@ -71,6 +76,7 @@
 #include "sim/scenario.hpp"
 #include "sim/trace_cache.hpp"
 #include "sim/trace_store.hpp"
+#include "telemetry/registry.hpp"
 #include "common/units.hpp"
 
 namespace {
@@ -616,12 +622,155 @@ ServiceScaleResult bench_service_scale(bool full, std::int64_t horizon) {
   return result;
 }
 
+// ---------------------------------------------------------------------------
+// Telemetry cost: the same work with telemetry off and on, in alternating
+// blocks, digest-checked.
+// ---------------------------------------------------------------------------
+
+struct TelemetryCostResult {
+  std::size_t slot_users = 0;
+  std::int64_t slot_blocks = 0;
+  std::int64_t slots_per_block = 0;
+  double slot_off_ns_per_slot = 0.0;
+  double slot_on_ns_per_slot = 0.0;
+  std::uint64_t slot_off_digest = 0;
+  std::uint64_t slot_on_digest = 0;
+  std::size_t pool_threads = 0;
+  std::size_t pool_cells = 0;
+  std::int64_t pool_blocks = 0;
+  double pool_off_wall_s = 0.0;
+  double pool_on_wall_s = 0.0;
+  std::uint64_t pool_off_digest = 0;  ///< first block's
+  std::uint64_t pool_on_digest = 0;   ///< first block's
+  bool pool_blocks_agree = true;      ///< every later block matched the first
+
+  [[nodiscard]] bool digests_equal() const noexcept {
+    return slot_off_digest == slot_on_digest && pool_off_digest == pool_on_digest &&
+           pool_blocks_agree;
+  }
+};
+
+/// Restores the process-wide telemetry switch however the row exits.
+struct TelemetryOnAtExit {
+  ~TelemetryOnAtExit() { telemetry::set_enabled(true); }
+};
+
+/// One exact-EMA gateway at the slot-path matrix's N = 1000 setting, with
+/// its own endpoints and a metrics collector to digest what it did.
+struct EmaGateway {
+  ScenarioConfig scenario;
+  std::vector<UserEndpoint> endpoints;
+  BaseStation bs;
+  Framework framework;
+  MetricsCollector metrics;
+  std::int64_t slot = 0;
+
+  explicit EmaGateway(const ScenarioConfig& config)
+      : scenario(config),
+        endpoints(build_endpoints(config)),
+        bs(capacity_profile(config)),
+        framework(InfoCollector(config.slot, config.link, config.radio),
+                  make_scheduler("ema", ema_options()),
+                  SchedulingMode::kEnergyMinimization, config.users),
+        metrics(config.users, /*keep_series=*/false) {}
+
+  static SchedulerOptions ema_options() {
+    SchedulerOptions options;
+    options.ema.v_weight = 0.05;
+    return options;
+  }
+
+  /// Runs `slots` slots and returns their wall time in ns.
+  double run(std::int64_t slots) {
+    return time_ns(slots, [&] {
+      const SlotOutcome& outcome = framework.run_slot(slot, endpoints, bs);
+      metrics.record_slot(framework.last_context(), outcome);
+      ++slot;
+    });
+  }
+};
+
+TelemetryCostResult bench_telemetry_cost(std::int64_t horizon, std::int64_t warmup,
+                                         std::int64_t slots_per_block) {
+  const TelemetryOnAtExit restore;
+  TelemetryCostResult result;
+
+  // Slot path: two identical N = 1000 exact-EMA gateways, one always run
+  // with telemetry off and one with it on, alternating block by block (and
+  // which side goes first) so a host speed-regime switch or the cache state
+  // one side leaves behind lands on both sides.
+  constexpr std::size_t kUsers = 1000;
+  constexpr std::int64_t kSlotBlocks = 8;
+  ScenarioConfig scenario = paper_scenario(kUsers, 42);
+  scenario.capacity_kbps = 500.0 * as_double(kUsers);
+  EmaGateway off(scenario);
+  EmaGateway on(scenario);
+  telemetry::set_enabled(false);
+  (void)off.run(warmup);
+  telemetry::set_enabled(true);
+  (void)on.run(warmup);
+  double off_ns = 0.0;
+  double on_ns = 0.0;
+  const auto run_block = [&](bool telemetry_on) {
+    telemetry::set_enabled(telemetry_on);
+    (telemetry_on ? on_ns : off_ns) += (telemetry_on ? on : off).run(slots_per_block);
+  };
+  for (std::int64_t block = 0; block < kSlotBlocks; ++block) {
+    const bool on_first = block % 2 == 1;
+    run_block(on_first);
+    run_block(!on_first);
+  }
+  const double measured = as_double(kSlotBlocks * slots_per_block);
+  result.slot_users = kUsers;
+  result.slot_blocks = kSlotBlocks;
+  result.slots_per_block = slots_per_block;
+  result.slot_off_ns_per_slot = off_ns / measured;
+  result.slot_on_ns_per_slot = on_ns / measured;
+  result.slot_off_digest = metrics_digest(off.metrics.finish());
+  result.slot_on_digest = metrics_digest(on.metrics.finish());
+
+  // Pool grid: the pool-scaling grid on 4 threads over one trace cache,
+  // warmed by an untimed run, so every timed run simulates the same cells
+  // against resident traces and the ratio isolates the slot work.
+  constexpr std::size_t kPoolThreads = 4;
+  constexpr std::int64_t kPoolBlocks = 4;
+  const std::vector<ExperimentSpec> specs = gate_grid(horizon, 4);
+  TraceCache cache;
+  CampaignOptions campaign;
+  campaign.threads = kPoolThreads;
+  campaign.cache = &cache;
+  (void)run_campaign(specs, campaign);
+  const auto timed_grid = [&](bool telemetry_on) {
+    telemetry::set_enabled(telemetry_on);
+    const auto start = Clock::now();
+    const std::vector<RunMetrics> results = run_campaign(specs, campaign);
+    (telemetry_on ? result.pool_on_wall_s : result.pool_off_wall_s) += seconds_since(start);
+    return metrics_digest(std::span<const RunMetrics>(results));
+  };
+  result.pool_threads = kPoolThreads;
+  result.pool_cells = specs.size();
+  result.pool_blocks = kPoolBlocks;
+  for (std::int64_t block = 0; block < kPoolBlocks; ++block) {
+    const bool on_first = block % 2 == 1;
+    std::uint64_t digest[2] = {0, 0};  // [telemetry off, telemetry on]
+    digest[on_first ? 1 : 0] = timed_grid(on_first);
+    digest[on_first ? 0 : 1] = timed_grid(!on_first);
+    if (block == 0) {
+      result.pool_off_digest = digest[0];
+      result.pool_on_digest = digest[1];
+    } else if (digest[0] != result.pool_off_digest || digest[1] != result.pool_on_digest) {
+      result.pool_blocks_agree = false;
+    }
+  }
+  return result;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 
 int run(int argc, const char* const* argv) {
-  std::string out_path = "BENCH_PR17.json";
+  std::string out_path = "BENCH_PR18.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--out" && i + 1 < argc) {
@@ -760,6 +909,29 @@ int run(int argc, const char* const* argv) {
        as_double(service.live_at_end) >= kMinServiceConcurrency &&
        service.mean_concurrency >= kMinServiceConcurrency);
 
+  // Telemetry cost: telemetry must stay observation-only (digest equality,
+  // enforced at every scale); the on/off time ratios are informational.
+  std::printf("telemetry cost (exact EMA N=1000 slot path; 7x4 grid on 4 threads; off vs on)\n");
+  const TelemetryCostResult telemetry_cost =
+      bench_telemetry_cost(clamp(10000), clamp(20), clamp(50));
+  const double slot_telemetry_ratio =
+      telemetry_cost.slot_on_ns_per_slot / telemetry_cost.slot_off_ns_per_slot;
+  const double pool_telemetry_ratio =
+      telemetry_cost.pool_on_wall_s / telemetry_cost.pool_off_wall_s;
+  std::printf(
+      "  slot path %9.0f ns/slot off  %9.0f ns/slot on  ratio %5.3f   digest %s\n"
+      "  pool grid %9.2f s off        %9.2f s on        ratio %5.3f   digest %s\n",
+      telemetry_cost.slot_off_ns_per_slot, telemetry_cost.slot_on_ns_per_slot,
+      slot_telemetry_ratio,
+      telemetry_cost.slot_off_digest == telemetry_cost.slot_on_digest ? "on == off"
+                                                                      : "on != off (MISMATCH)",
+      telemetry_cost.pool_off_wall_s, telemetry_cost.pool_on_wall_s, pool_telemetry_ratio,
+      telemetry_cost.pool_off_digest == telemetry_cost.pool_on_digest &&
+              telemetry_cost.pool_blocks_agree
+          ? "on == off"
+          : "on != off (MISMATCH)");
+  const bool telemetry_pass = telemetry_cost.digests_equal();
+
   const auto hex_digest = [](std::uint64_t digest) {
     char buffer[19];
     std::snprintf(buffer, sizeof(buffer), "0x%016llx",
@@ -780,7 +952,7 @@ int run(int argc, const char* const* argv) {
   std::ofstream json(out_path);
   require(json.good(), "cannot open perf-gate output file");
   json << "{\n";
-  json << "  \"schema\": \"jstream-perf-gate-v6\",\n";
+  json << "  \"schema\": \"jstream-perf-gate-v7\",\n";
   json << "  \"workload\": \"paper_scenario(users, seed=42), capacity 500 KB/s per user\",\n";
   json << "  \"gate\": {\"metric\": \"solver[0].speedup_vs_reference\", \"min_speedup\": "
        << kMinSpeedup << ", \"pass\": " << (solver_gate_pass ? "true" : "false") << "},\n";
@@ -839,6 +1011,27 @@ int run(int argc, const char* const* argv) {
        << ", \"rss_end_kb\": " << service.rss_end_kb
        << ", \"enforced\": " << (service_enforced ? "true" : "false")
        << ", \"pass\": " << (service_pass ? "true" : "false") << "},\n";
+  json << "  \"telemetry_gate\": {\"metric\": \"telemetry_cost.*.on_digest == "
+       << "telemetry_cost.*.off_digest\", "
+       << "\"slot_path\": {\"scheduler\": \"ema\", \"users\": " << telemetry_cost.slot_users
+       << ", \"blocks\": " << telemetry_cost.slot_blocks
+       << ", \"slots_per_block\": " << telemetry_cost.slots_per_block
+       << ", \"off_ns_per_slot\": " << telemetry_cost.slot_off_ns_per_slot
+       << ", \"on_ns_per_slot\": " << telemetry_cost.slot_on_ns_per_slot
+       << ", \"on_off_ratio\": " << slot_telemetry_ratio
+       << ", \"off_digest\": \"" << hex_digest(telemetry_cost.slot_off_digest)
+       << "\", \"on_digest\": \"" << hex_digest(telemetry_cost.slot_on_digest) << "\"}"
+       << ", \"pool\": {\"threads\": " << telemetry_cost.pool_threads
+       << ", \"cells\": " << telemetry_cost.pool_cells
+       << ", \"blocks\": " << telemetry_cost.pool_blocks
+       << ", \"off_wall_s\": " << telemetry_cost.pool_off_wall_s
+       << ", \"on_wall_s\": " << telemetry_cost.pool_on_wall_s
+       << ", \"on_off_ratio\": " << pool_telemetry_ratio
+       << ", \"off_digest\": \"" << hex_digest(telemetry_cost.pool_off_digest)
+       << "\", \"on_digest\": \"" << hex_digest(telemetry_cost.pool_on_digest)
+       << "\", \"blocks_agree\": " << (telemetry_cost.pool_blocks_agree ? "true" : "false")
+       << "}, \"enforced\": true, \"pass\": " << (telemetry_pass ? "true" : "false")
+       << "},\n";
   json << "  \"campaign\": {\"users\": " << campaign.users
        << ", \"schedulers\": " << campaign.schedulers
        << ", \"replications\": " << campaign.replications
@@ -923,17 +1116,30 @@ int run(int argc, const char* const* argv) {
                  service.mean_concurrency);
     return 1;
   }
+  if (!telemetry_pass) {
+    std::fprintf(stderr,
+                 "PERF GATE FAILED: telemetry changed a result (slot path %016llx "
+                 "off vs %016llx on; pool %016llx off vs %016llx on%s)\n",
+                 static_cast<unsigned long long>(telemetry_cost.slot_off_digest),
+                 static_cast<unsigned long long>(telemetry_cost.slot_on_digest),
+                 static_cast<unsigned long long>(telemetry_cost.pool_off_digest),
+                 static_cast<unsigned long long>(telemetry_cost.pool_on_digest),
+                 telemetry_cost.pool_blocks_agree ? "" : "; blocks disagree");
+    return 1;
+  }
   std::printf(
       "perf gate passed (solver %.1fx >= %.1fx; ema N=1000 %s; 0 allocs/slot; "
       "campaign %.2fx%s; "
-      "pool bit-identical to 1 thread; disk-warm %.2fx%s; service scale %s)\n",
+      "pool bit-identical to 1 thread; disk-warm %.2fx%s; service scale %s; "
+      "telemetry observation-only, on/off %.3f slot path, %.3f pool)\n",
       solver_results.front().speedup, kMinSpeedup,
       ema_gate_enforced ? "< 1 ms/slot" : "informational under REPRO_SLOTS",
       campaign.speedup,
       campaign_enforced ? " >= 3.0x" : ", informational under REPRO_SLOTS",
       disk.speedup,
       disk_enforced ? " >= 3.0x" : ", ratio informational under REPRO_SLOTS",
-      service_enforced ? "within bounds" : "informational under REPRO_SLOTS");
+      service_enforced ? "within bounds" : "informational under REPRO_SLOTS",
+      slot_telemetry_ratio, pool_telemetry_ratio);
   return 0;
 }
 

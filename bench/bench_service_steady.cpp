@@ -14,7 +14,7 @@
 //      fill and at the horizon. Report-only since PR9: the enforcement
 //      (ns/user-slot ceiling, end RSS <= 1.5x post-fill, the sustained
 //      >=100k concurrency floor) moved into bench_perf_gate, where the
-//      numbers are pinned in BENCH_PR17.json.
+//      numbers are pinned in BENCH_PR18.json.
 //   4. Zero-arrival equivalence: a service run with arrivals off must
 //      reproduce the batch simulate() result bit for bit (benign and faulted
 //      cells, default and ema schedulers). Exits nonzero on any mismatch.

@@ -397,17 +397,15 @@ void EmaScheduler::allocate_into(const SlotContext& ctx, Allocation& out) {
     queues_.update(i, ctx.params.tau_s, kb / soa.bitrate_kbps[i]);
   }
 
-  // Observation-only: the post-update Eq. 16 queue distribution and the worst
-  // queue of the slot (the user under the most rebuffering pressure).
+  // Observation-only, once per slot: the worst post-update Eq. 16 queue (the
+  // user under the most rebuffering pressure) feeds the queue histogram, the
+  // gauge and the trace.
   if (telemetry::enabled() && queues_.size() > 0) {
     auto& probes = EmaTelemetry::instance();
     probes.allocations.add();
     double max_queue = -std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < queues_.size(); ++i) {
-      const double level = queues_.value(i);
-      probes.queue_level_s.observe(level);
-      max_queue = std::max(max_queue, level);
-    }
+    for (const double level : queues_.values()) max_queue = std::max(max_queue, level);
+    probes.queue_level_s.observe(max_queue);
     probes.queue_max_s.set(max_queue);
     probes.tracer.record(ctx.slot, -1, telemetry::TraceEventKind::kQueueLevel,
                          max_queue);

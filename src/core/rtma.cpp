@@ -79,22 +79,26 @@ void RtmaScheduler::allocate_into(const SlotContext& ctx, Allocation& out) {
 
   // Observation-only: record the Eq. 12 threshold and which users it admits
   // or filters this slot. Rejections are the paper's energy-saving lever, so
-  // they are also traced per user.
+  // they are also traced per user; the counts are summed here and added once.
   if (telemetry::enabled()) {
     auto& probes = RtmaTelemetry::instance();
     probes.allocations.add();
     probes.threshold_dbm.set(threshold);
+    std::int64_t admitted = 0;
+    std::int64_t rejected = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (!soa.needs_data(i)) continue;
       if (soa.signal_dbm[i] < threshold) {
-        probes.rejected_users.add();
+        ++rejected;
         probes.tracer.record(ctx.slot, checked_i32(i),
                              telemetry::TraceEventKind::kReject,
                              soa.signal_dbm[i]);
       } else {
-        probes.admitted_users.add();
+        ++admitted;
       }
     }
+    if (admitted > 0) probes.admitted_users.add(admitted);
+    if (rejected > 0) probes.rejected_users.add(rejected);
   }
 
   // Steps 1-3: sort by required data rate ascending; compute per-slot needs.

@@ -4,16 +4,34 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "common/units.hpp"
+#include "radio/rrc.hpp"
+#include "telemetry/registry.hpp"
 
 namespace jstream {
 
 namespace {
 
+// Resolved once; references stay valid for the process lifetime.
+struct TransmitterTelemetry {
+  telemetry::Counter& eq1_link_clips;
+  telemetry::Counter& eq2_capacity_clips;
+  telemetry::SlotTracer& tracer;
+
+  static TransmitterTelemetry& instance() {
+    auto& registry = telemetry::global_registry();
+    static TransmitterTelemetry probes{registry.counter("constraint.eq1.link_cap_clips"),
+                                       registry.counter("constraint.eq2.capacity_clips"),
+                                       registry.tracer()};
+    return probes;
+  }
+};
+
 /// Constraint (1)/(2) validation against the snapshot's per-user caps.
 /// Mirrors require_feasible but reads the caps straight from the context, so
 /// the per-slot path needs no temporary caps vector; messages are built only
-/// on the failure branch.
-void require_feasible_ctx(const Allocation& allocation, const SlotContext& ctx) {
+/// on the failure branch. Returns the slot's total grant.
+std::int64_t require_feasible_ctx(const Allocation& allocation, const SlotContext& ctx) {
   require(allocation.units.size() == ctx.users.size(),
           "infeasible allocation: allocation size does not match user count");
   std::int64_t total = 0;
@@ -35,6 +53,7 @@ void require_feasible_ctx(const Allocation& allocation, const SlotContext& ctx) 
                        std::to_string(total) + " > " +
                        std::to_string(ctx.capacity_units));
   }
+  return total;
 }
 
 }  // namespace
@@ -52,7 +71,16 @@ void DataTransmitter::apply_into(const SlotContext& ctx, const Allocation& alloc
                                  std::span<UserEndpoint> endpoints,
                                  DataReceiver& receiver, SlotOutcome& out) const {
   require(endpoints.size() == ctx.users.size(), "endpoint/context size mismatch");
-  require_feasible_ctx(allocation, ctx);
+  const std::int64_t granted_total = require_feasible_ctx(allocation, ctx);
+  // Observation-only accounting, folded into the per-user loop: which
+  // constraint bound each grant (constraint (1) when a grant saturated the
+  // user's cap while the session wanted more, constraint (2) when the slot's
+  // total grant exhausted the base-station capacity) and every RRC state
+  // change. Counts are summed here and added once per slot.
+  const bool telemetry_on = telemetry::enabled();
+  auto& probes = TransmitterTelemetry::instance();
+  std::int64_t link_clips = 0;
+  RrcTransitionTally transitions;
 
   const std::size_t n = endpoints.size();
   out.units.assign(n, 0);
@@ -66,6 +94,12 @@ void DataTransmitter::apply_into(const SlotContext& ctx, const Allocation& alloc
     UserEndpoint& endpoint = endpoints[i];
     const UserSlotInfo& info = ctx.users[i];
     const std::int64_t phi = allocation.units[i];
+    if (telemetry_on && phi > 0 && phi == info.alloc_cap_units &&
+        ctx.params.need_units(info.bitrate_kbps) > info.alloc_cap_units) {
+      ++link_clips;
+      probes.tracer.record(ctx.slot, checked_i32(i), telemetry::TraceEventKind::kClipLink,
+                           as_double(phi));
+    }
 
     // An aborted session has left the cell: no demand, no stall, and its
     // radio — RRC tail included — is no longer this base station's to charge.
@@ -104,7 +138,23 @@ void DataTransmitter::apply_into(const SlotContext& ctx, const Allocation& alloc
     }
     out.units[i] = phi;
     out.kb[i] = kb;
-    out.tail_mj[i] = endpoint.rrc.advance_slot(active_s, ctx.params.tau_s);
+    const RrcSlotStep rrc = endpoint.rrc.step(active_s, ctx.params.tau_s);
+    out.tail_mj[i] = rrc.tail_mj;
+    if (telemetry_on && rrc.to != rrc.from) {
+      transitions.note(rrc.from, rrc.to);
+      probes.tracer.record(ctx.slot, checked_i32(i),
+                           telemetry::TraceEventKind::kRrcTransition,
+                           as_double(static_cast<int>(rrc.to)));
+    }
+  }
+
+  if (!telemetry_on) return;
+  transitions.flush();
+  if (link_clips > 0) probes.eq1_link_clips.add(link_clips);
+  if (granted_total > 0 && granted_total == ctx.capacity_units) {
+    probes.eq2_capacity_clips.add();
+    probes.tracer.record(ctx.slot, -1, telemetry::TraceEventKind::kClipCapacity,
+                         as_double(granted_total));
   }
 }
 

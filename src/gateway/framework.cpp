@@ -5,7 +5,6 @@
 #include "common/error.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/scoped_timer.hpp"
-#include "common/units.hpp"
 
 namespace jstream {
 
@@ -13,21 +12,17 @@ namespace {
 
 // Resolved once; references stay valid for the process lifetime, so the
 // per-slot path never touches the registry lock.
+// The Eq. 1/Eq. 2 clip accounting and the RRC-transition trace live in
+// DataTransmitter::apply_into, whose per-user loop already visits each grant
+// and steps each RRC machine.
 struct FrameworkTelemetry {
   telemetry::Counter& slots;
-  telemetry::Counter& eq1_link_clips;
-  telemetry::Counter& eq2_capacity_clips;
   telemetry::Histogram& decision_latency_us;
-  telemetry::SlotTracer& tracer;
 
   static FrameworkTelemetry& instance() {
     auto& registry = telemetry::global_registry();
-    static FrameworkTelemetry probes{
-        registry.counter("gateway.slots"),
-        registry.counter("constraint.eq1.link_cap_clips"),
-        registry.counter("constraint.eq2.capacity_clips"),
-        registry.histogram("scheduler.decision_latency_us"),
-        registry.tracer()};
+    static FrameworkTelemetry probes{registry.counter("gateway.slots"),
+                                     registry.histogram("scheduler.decision_latency_us")};
     return probes;
   }
 };
@@ -82,33 +77,7 @@ const SlotOutcome& Framework::run_slot(std::int64_t slot,
 
   if (fault_hook_ != nullptr) fault_hook_->reconcile_allocation(last_ctx_, last_alloc_);
 
-  // Observation-only accounting of which constraint bound each grant:
-  // constraint (1) when a user's grant saturated its per-user cap while the
-  // session still wanted more, constraint (2) when the slot's total grant
-  // exhausted the base-station capacity.
-  if (telemetry::enabled()) {
-    std::int64_t granted_total = 0;
-    for (std::size_t i = 0; i < last_ctx_.user_count(); ++i) {
-      const UserSlotInfo& user = last_ctx_.users[i];
-      const std::int64_t granted = last_alloc_.units[i];
-      granted_total += granted;
-      if (granted > 0 && granted == user.alloc_cap_units &&
-          last_ctx_.params.need_units(user.bitrate_kbps) > user.alloc_cap_units) {
-        probes.eq1_link_clips.add();
-        probes.tracer.record(slot, checked_i32(i),
-                             telemetry::TraceEventKind::kClipLink,
-                             as_double(granted));
-      }
-    }
-    if (granted_total > 0 && granted_total == last_ctx_.capacity_units) {
-      probes.eq2_capacity_clips.add();
-      probes.tracer.record(slot, -1, telemetry::TraceEventKind::kClipCapacity,
-                           as_double(granted_total));
-    }
-  }
-
-  const bool trace_rrc = telemetry::enabled();
-  if (trace_rrc || validate) {
+  if (validate) {
     rrc_before_.resize(endpoints.size());
     for (std::size_t i = 0; i < endpoints.size(); ++i) {
       rrc_before_[i] = endpoints[i].rrc.state();
@@ -120,17 +89,6 @@ const SlotOutcome& Framework::run_slot(std::int64_t slot,
   if (validate) {
     validator_.check_outcome(last_ctx_, last_alloc_, last_outcome_, endpoints,
                              rrc_before_);
-  }
-
-  if (trace_rrc) {
-    for (std::size_t i = 0; i < endpoints.size(); ++i) {
-      const RrcState after = endpoints[i].rrc.state();
-      if (after != rrc_before_[i]) {
-        probes.tracer.record(slot, checked_i32(i),
-                             telemetry::TraceEventKind::kRrcTransition,
-                             as_double(static_cast<int>(after)));
-      }
-    }
   }
 
   for (auto& endpoint : endpoints) endpoint.buffer.end_slot();

@@ -86,7 +86,7 @@ class Framework {
   SlotOutcome last_outcome_;
   analysis::InvariantChecker validator_;
   SlotFaultHook* fault_hook_ = nullptr;  ///< degraded-cell seam (sim/fault.hpp)
-  std::vector<RrcState> rrc_before_;  ///< per-slot RRC snapshot (tracing + validation)
+  std::vector<RrcState> rrc_before_;  ///< per-slot RRC snapshot, filled only while validating
 };
 
 }  // namespace jstream

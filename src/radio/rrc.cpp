@@ -9,8 +9,7 @@ namespace jstream {
 
 namespace {
 
-// Transition counters resolved once against the global registry; the
-// recording itself is a relaxed atomic increment per state change.
+// Transition counters resolved once against the global registry.
 struct RrcTelemetry {
   telemetry::Counter& idle_to_dch;
   telemetry::Counter& fach_to_dch;
@@ -29,13 +28,10 @@ struct RrcTelemetry {
   }
 };
 
-void count_transition(RrcState from, RrcState to) {
-  auto& probes = RrcTelemetry::instance();
-  if (from == RrcState::kIdle && to == RrcState::kDch) probes.idle_to_dch.add();
-  if (from == RrcState::kFach && to == RrcState::kDch) probes.fach_to_dch.add();
-  if (from == RrcState::kDch && to == RrcState::kFach) probes.dch_to_fach.add();
-  if (from == RrcState::kDch && to == RrcState::kIdle) probes.dch_to_idle.add();
-  if (from == RrcState::kFach && to == RrcState::kIdle) probes.fach_to_idle.add();
+void flush_count(telemetry::Counter& counter, std::int64_t& count) noexcept {
+  if (count == 0) return;
+  counter.add(count);
+  count = 0;
 }
 
 }  // namespace
@@ -58,35 +54,57 @@ RrcStateMachine::RrcStateMachine(RadioProfile profile) : profile_(profile) {
   validate(profile_);
 }
 
+void RrcTransitionTally::note(RrcState from, RrcState to) noexcept {
+  if (from == RrcState::kIdle && to == RrcState::kDch) ++idle_to_dch_;
+  if (from == RrcState::kFach && to == RrcState::kDch) ++fach_to_dch_;
+  if (from == RrcState::kDch && to == RrcState::kFach) ++dch_to_fach_;
+  if (from == RrcState::kDch && to == RrcState::kIdle) ++dch_to_idle_;
+  if (from == RrcState::kFach && to == RrcState::kIdle) ++fach_to_idle_;
+}
+
+void RrcTransitionTally::flush() noexcept {
+  auto& probes = RrcTelemetry::instance();
+  flush_count(probes.idle_to_dch, idle_to_dch_);
+  flush_count(probes.fach_to_dch, fach_to_dch_);
+  flush_count(probes.dch_to_fach, dch_to_fach_);
+  flush_count(probes.dch_to_idle, dch_to_idle_);
+  flush_count(probes.fach_to_idle, fach_to_idle_);
+}
+
 double RrcStateMachine::advance_slot(double active_s, double tau_s) {
+  const RrcSlotStep stepped = step(active_s, tau_s);
+  if (stepped.from != stepped.to && telemetry::enabled()) {
+    RrcTransitionTally tally;
+    tally.note(stepped.from, stepped.to);
+    tally.flush();
+  }
+  return stepped.tail_mj;
+}
+
+RrcSlotStep RrcStateMachine::step(double active_s, double tau_s) {
   require(tau_s > 0.0, "slot length must be positive");
   require(active_s >= 0.0, "active time must be non-negative");
-  const RrcState entered = state();
-  const auto finish = [&](double energy) {
-    if (telemetry::enabled()) {
-      const RrcState left = state();
-      if (left != entered) count_transition(entered, left);
-    }
-    return energy;
-  };
+  RrcSlotStep stepped;
+  stepped.from = state();
   if (active_s > 0.0) {
     never_transmitted_ = false;
     if (!profile_.continuous_tail) {
       // Eq. 5 semantics: a transmission slot carries no tail energy; the tail
       // clock starts at the slot boundary.
       idle_s_ = 0.0;
-      return finish(0.0);
+    } else {
+      // Continuous-time Eq. 4: a fresh tail begins when the transfer ends;
+      // its first tau - active seconds fall inside this slot.
+      const double residue = std::max(tau_s - active_s, 0.0);
+      idle_s_ = residue;
+      stepped.tail_mj = slot_tail_energy_mj(profile_, 0.0, residue);
     }
-    // Continuous-time Eq. 4: a fresh tail begins when the transfer ends; its
-    // first tau - active seconds fall inside this slot.
-    const double residue = std::max(tau_s - active_s, 0.0);
-    idle_s_ = residue;
-    return finish(slot_tail_energy_mj(profile_, 0.0, residue));
+  } else if (!never_transmitted_) {  // a never-promoted radio burns no tail
+    stepped.tail_mj = slot_tail_energy_mj(profile_, idle_s_, tau_s);
+    idle_s_ += tau_s;
   }
-  if (never_transmitted_) return finish(0.0);  // radio was never promoted
-  const double energy = slot_tail_energy_mj(profile_, idle_s_, tau_s);
-  idle_s_ += tau_s;
-  return finish(energy);
+  stepped.to = state();
+  return stepped;
 }
 
 RrcState RrcStateMachine::state() const noexcept {

@@ -36,6 +36,32 @@ enum class RrcState { kDch, kFach, kIdle };
 [[nodiscard]] double slot_tail_energy_mj(const RadioProfile& profile,
                                          double idle_start_s, double tau_s);
 
+/// One slot of an RrcStateMachine: the Eq. 4 tail energy it burned and the
+/// states the radio began and ended it in.
+struct RrcSlotStep {
+  double tail_mj = 0.0;
+  RrcState from = RrcState::kIdle;
+  RrcState to = RrcState::kIdle;
+};
+
+/// Per-slot tally of RRC state changes over many machines, added to the
+/// rrc.transitions.* counters by one flush() instead of one add per change.
+class RrcTransitionTally {
+ public:
+  /// Counts the change from `from` to `to` (nothing when they are equal).
+  void note(RrcState from, RrcState to) noexcept;
+
+  /// Adds the non-zero counts to the telemetry counters and zeroes them.
+  void flush() noexcept;
+
+ private:
+  std::int64_t idle_to_dch_ = 0;
+  std::int64_t fach_to_dch_ = 0;
+  std::int64_t dch_to_fach_ = 0;
+  std::int64_t dch_to_idle_ = 0;
+  std::int64_t fach_to_idle_ = 0;
+};
+
 /// Per-user RRC simulator advanced once per slot.
 ///
 /// Transmission energy (Eq. 3) is accounted by the caller from the power
@@ -51,7 +77,13 @@ class RrcStateMachine {
   /// transferred for `active_s` seconds (0 for an idle slot; the transfer is
   /// placed at the start of the slot). Returns the tail energy (mJ) burned
   /// during this slot; the caller accounts the transmission energy itself.
+  /// Counts a state change in the rrc.transitions.* counters.
   double advance_slot(double active_s, double tau_s);
+
+  /// advance_slot without the telemetry: also returns the states the slot
+  /// began and ended in, so a caller stepping many machines counts their
+  /// changes once per slot (RrcTransitionTally).
+  [[nodiscard]] RrcSlotStep step(double active_s, double tau_s);
 
   /// Current state given the elapsed idle time.
   [[nodiscard]] RrcState state() const noexcept;

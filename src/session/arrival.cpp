@@ -70,6 +70,9 @@ void validate(const ArrivalConfig& config) {
     case ArrivalKind::kNone:
       return;
     case ArrivalKind::kPoisson:
+      // An infinite rate would pass the sign check and throw only inside
+      // the sampler at the first step.
+      require(std::isfinite(config.rate_per_slot), "arrival rate must be finite");
       require(config.rate_per_slot >= 0.0, "arrival rate must be non-negative");
       return;
     case ArrivalKind::kTrace:

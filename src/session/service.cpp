@@ -122,13 +122,14 @@ double ServiceSimulator::mean_bound_queue_s() const noexcept {
 }
 
 void ServiceSimulator::admit_arrivals(std::int64_t slot, std::int64_t count) {
-  auto& probes = SessionTelemetry::instance();
-  const bool telemetry_on = telemetry::enabled();
   // One backlog probe per event boundary — it scans the whole population.
   const double mean_queue = mean_bound_queue_s();
+  // Admission outcomes are summed here and added to telemetry once.
+  std::int64_t rejected = 0;
+  std::int64_t blocked = 0;
+  std::int64_t accepted = 0;
   for (std::int64_t a = 0; a < count; ++a) {
     service_metrics_->on_offered();
-    if (telemetry_on) probes.offered.add();
     // The content of arrival k is drawn unconditionally — before admission,
     // before the free-slot check — so policy or capacity changes never shift
     // the content stream of later sessions (arrival purity contract).
@@ -145,12 +146,12 @@ void ServiceSimulator::admit_arrivals(std::int64_t slot, std::int64_t count) {
     snapshot.offered_bitrate_kbps = session.bitrate_at_time(0.0);
     if (!admission_->admit(snapshot)) {
       service_metrics_->on_rejected();
-      if (telemetry_on) probes.rejected.add();
+      ++rejected;
       continue;
     }
     if (!manager_->has_free_slot()) {
       service_metrics_->on_blocked();
-      if (telemetry_on) probes.blocked.add();
+      ++blocked;
       continue;
     }
     const std::size_t id = manager_->peek_free();
@@ -165,7 +166,14 @@ void ServiceSimulator::admit_arrivals(std::int64_t slot, std::int64_t count) {
     manager_->bind(slot, std::move(session), departure);
     framework_->scheduler().reset_user(id);
     service_metrics_->on_session_start(id, slot, k);
-    if (telemetry_on) probes.accepted.add();
+    ++accepted;
+  }
+  if (count > 0 && telemetry::enabled()) {
+    auto& probes = SessionTelemetry::instance();
+    probes.offered.add(count);
+    if (rejected > 0) probes.rejected.add(rejected);
+    if (blocked > 0) probes.blocked.add(blocked);
+    if (accepted > 0) probes.accepted.add(accepted);
   }
 }
 

@@ -288,6 +288,10 @@ void FaultInjector::degrade_context(SlotContext& ctx) {
   auto& probes = FaultTelemetry::instance();
   const bool telemetry_on = telemetry::enabled();
   const std::int64_t slot = ctx.slot;
+  // Per-user events are summed here and added once per slot.
+  std::int64_t departures = 0;
+  std::int64_t outages = 0;
+  std::int64_t stale = 0;
 
   // (b) Base-station degradation scales the constraint Eq. 2 bound before
   // the scheduler sees it, so every policy's decision is feasible for the
@@ -313,7 +317,7 @@ void FaultInjector::degrade_context(SlotContext& ctx) {
       last_fresh_[i].valid = false;
       if (departure_counted_[i] == 0) {
         departure_counted_[i] = 1;
-        if (telemetry_on) probes.departures.add();
+        ++departures;
       }
       continue;
     }
@@ -332,7 +336,7 @@ void FaultInjector::degrade_context(SlotContext& ctx) {
           ceil_to_count(info.remaining_kb / ctx.params.delta_kb);
       info.alloc_cap_units =
           std::max<std::int64_t>(0, std::min(info.link_units, remaining_units));
-      if (telemetry_on) probes.outage_user_slots.add();
+      ++outages;
     }
 
     // (d) Staleness: the gateway lost this slot's feedback, so the scheduler
@@ -354,7 +358,7 @@ void FaultInjector::degrade_context(SlotContext& ctx) {
       info.alloc_cap_units =
           std::max<std::int64_t>(0, std::min(seen.link_units, remaining_units));
       stale_now_[i] = 1;
-      if (telemetry_on) probes.stale_user_slots.add();
+      ++stale;
     } else {
       last_fresh_[i] = LinkSnapshot{info.signal_dbm,  info.throughput_kbps,
                                     info.energy_per_kb, info.link_units,
@@ -362,14 +366,18 @@ void FaultInjector::degrade_context(SlotContext& ctx) {
       truth_[i].valid = false;
     }
   }
+  if (telemetry_on) {
+    if (departures > 0) probes.departures.add(departures);
+    if (outages > 0) probes.outage_user_slots.add(outages);
+    if (stale > 0) probes.stale_user_slots.add(stale);
+  }
 }
 
 void FaultInjector::reconcile_allocation(SlotContext& ctx, Allocation& alloc) {
   require(ctx.user_count() == schedule_->users() &&
               alloc.units.size() == schedule_->users(),
           "fault schedule population differs from the allocation");
-  auto& probes = FaultTelemetry::instance();
-  const bool telemetry_on = telemetry::enabled();
+  std::int64_t clipped_units = 0;
   for (std::size_t i = 0; i < ctx.user_count(); ++i) {
     if (stale_now_[i] == 0) continue;
     stale_now_[i] = 0;
@@ -384,11 +392,12 @@ void FaultInjector::reconcile_allocation(SlotContext& ctx, Allocation& alloc) {
     // against an optimistic stale report is clipped, which only ever reduces
     // the total, so constraint Eq. 2 keeps holding.
     if (alloc.units[i] > truth.alloc_cap_units) {
-      if (telemetry_on) {
-        probes.stale_clipped_units.add(alloc.units[i] - truth.alloc_cap_units);
-      }
+      clipped_units += alloc.units[i] - truth.alloc_cap_units;
       alloc.units[i] = truth.alloc_cap_units;
     }
+  }
+  if (clipped_units > 0 && telemetry::enabled()) {
+    FaultTelemetry::instance().stale_clipped_units.add(clipped_units);
   }
 }
 

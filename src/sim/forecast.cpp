@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -36,7 +37,12 @@ void fnv_mix(std::uint64_t& hash, double value) noexcept {
 }  // namespace
 
 void validate(const ForecastErrorSpec& spec) {
+  // Non-finite knobs fail here, by name: a NaN would turn every forecast
+  // into NaN inside the predictive scheduler's costs, and an infinity would
+  // pin every forecast to a signal clamp.
+  require(std::isfinite(spec.sigma_dbm), "forecast noise sigma must be finite");
   require(spec.sigma_dbm >= 0.0, "forecast noise sigma must be non-negative");
+  require(std::isfinite(spec.bias_dbm), "forecast bias must be finite");
   require(spec.staleness_slots >= 0, "forecast staleness must be non-negative");
 }
 

@@ -8,8 +8,68 @@
 
 namespace jstream::telemetry {
 
+namespace {
+
+constexpr std::size_t kCellsPerLine = kCacheLineBytes / sizeof(std::int64_t);
+
+}  // namespace
+
+std::int64_t Counter::value() const noexcept {
+  std::int64_t total = 0;
+  for (const auto& shard : shards_) total += shard.value.load(std::memory_order_relaxed);
+  return total;
+}
+
+void Counter::reset() noexcept {
+  for (auto& shard : shards_) shard.value.store(0, std::memory_order_relaxed);
+}
+
+void Gauge::set(double value) noexcept {
+  if (!enabled()) return;
+  Cell& cell = shards_[this_thread_shard()].value;
+  cell.value.store(value, std::memory_order_relaxed);
+  // Release: a reader that sees the stamp sees the value stored with it.
+  cell.stamp.store(order_stamp(), std::memory_order_release);
+  // Nothing on the slot path adds, so this is a read of a line no thread
+  // writes; the store happens only after an add().
+  if (added_.load(std::memory_order_relaxed) != 0.0) {
+    added_.store(0.0, std::memory_order_relaxed);
+  }
+}
+
+void Gauge::add(double delta) noexcept {
+  if (!enabled()) return;
+  double expected = added_.load(std::memory_order_relaxed);
+  while (!added_.compare_exchange_weak(expected, expected + delta,
+                                       std::memory_order_relaxed)) {
+  }
+}
+
+double Gauge::value() const noexcept {
+  std::int64_t newest = 0;
+  double value = 0.0;
+  for (const auto& shard : shards_) {
+    const std::int64_t stamp = shard.value.stamp.load(std::memory_order_acquire);
+    if (stamp > newest) {
+      newest = stamp;
+      value = shard.value.value.load(std::memory_order_relaxed);
+    }
+  }
+  return value + added_.load(std::memory_order_relaxed);
+}
+
+void Gauge::reset() noexcept {
+  for (auto& shard : shards_) {
+    shard.value.value.store(0.0, std::memory_order_relaxed);
+    shard.value.stamp.store(0, std::memory_order_relaxed);
+  }
+  added_.store(0.0, std::memory_order_relaxed);
+}
+
 Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)), buckets_(bounds_.size() + 1) {
+    : bounds_(std::move(upper_bounds)),
+      lines_per_shard_((bounds_.size() + kCellsPerLine) / kCellsPerLine),
+      lines_(kShardCount * lines_per_shard_) {
   require(!bounds_.empty(), "histogram needs at least one bucket edge");
   for (std::size_t i = 1; i < bounds_.size(); ++i) {
     require(bounds_[i - 1] < bounds_[i],
@@ -17,35 +77,54 @@ Histogram::Histogram(std::vector<double> upper_bounds)
   }
 }
 
+std::atomic<std::int64_t>& Histogram::bucket(std::size_t shard,
+                                             std::size_t index) noexcept {
+  return lines_[shard * lines_per_shard_ + index / kCellsPerLine]
+      .cells[index % kCellsPerLine];
+}
+
+const std::atomic<std::int64_t>& Histogram::bucket(std::size_t shard,
+                                                   std::size_t index) const noexcept {
+  return lines_[shard * lines_per_shard_ + index / kCellsPerLine]
+      .cells[index % kCellsPerLine];
+}
+
 void Histogram::observe(double value) noexcept {
   if (!enabled()) return;
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
   const auto idx = checked_size(it - bounds_.begin());
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double expected = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(expected, expected + value,
-                                     std::memory_order_relaxed)) {
-  }
+  const std::size_t shard = this_thread_shard();
+  shard_add(bucket(shard, idx), 1, shard);
+  shard_add(sums_[shard].value, value, shard);
 }
 
 std::int64_t Histogram::count() const noexcept {
-  return count_.load(std::memory_order_relaxed);
+  std::int64_t total = 0;
+  for (std::size_t shard = 0; shard < kShardCount; ++shard) {
+    for (std::size_t i = 0; i <= bounds_.size(); ++i) {
+      total += bucket(shard, i).load(std::memory_order_relaxed);
+    }
+  }
+  return total;
 }
 
 double Histogram::sum() const noexcept {
-  return sum_.load(std::memory_order_relaxed);
+  double total = 0.0;
+  for (const auto& shard : sums_) total += shard.value.load(std::memory_order_relaxed);
+  return total;
 }
 
 Histogram::Snapshot Histogram::snapshot() const {
   Snapshot snap;
   snap.upper_bounds = bounds_;
-  snap.counts.reserve(buckets_.size());
-  for (const auto& bucket : buckets_) {
-    snap.counts.push_back(bucket.load(std::memory_order_relaxed));
+  snap.counts.assign(bounds_.size() + 1, 0);
+  for (std::size_t shard = 0; shard < kShardCount; ++shard) {
+    for (std::size_t i = 0; i < snap.counts.size(); ++i) {
+      snap.counts[i] += bucket(shard, i).load(std::memory_order_relaxed);
+    }
   }
-  snap.total = count_.load(std::memory_order_relaxed);
-  snap.sum = sum_.load(std::memory_order_relaxed);
+  for (const std::int64_t count : snap.counts) snap.total += count;
+  snap.sum = sum();
   return snap;
 }
 
@@ -74,9 +153,10 @@ double Histogram::Snapshot::quantile(double q) const {
 }
 
 void Histogram::reset() noexcept {
-  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
+  for (Line& line : lines_) {
+    for (auto& cell : line.cells) cell.store(0, std::memory_order_relaxed);
+  }
+  for (auto& shard : sums_) shard.value.store(0.0, std::memory_order_relaxed);
 }
 
 std::vector<double> exponential_buckets(double start, double factor,

@@ -3,11 +3,15 @@
 // Three metric kinds cover the instrumentation needs of the gateway/sim
 // stack:
 //
-//   Counter   — monotonic event count (atomic, relaxed increments);
-//   Gauge     — last-written scalar (atomic double);
-//   Histogram — fixed-bucket distribution with quantile extraction
-//               (per-bucket atomic counts, so concurrent observers from the
-//               thread_pool never block each other).
+//   Counter   — monotonic event count;
+//   Gauge     — last-written scalar;
+//   Histogram — fixed-bucket distribution with quantile extraction.
+//
+// Each metric keeps one cache-line-separated copy of its state per thread
+// shard (telemetry/shard.hpp): recording writes only the calling thread's
+// copy, without a lock, and reads merge the copies into exact totals. So
+// concurrent recorders from the thread_pool neither block nor slow each
+// other down.
 //
 // All operations are observation-only: recording never throws, never
 // allocates after construction, and is a no-op while telemetry is disabled
@@ -15,83 +19,95 @@
 // Registry and outlive every caller, so hot paths may cache references.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "telemetry/shard.hpp"
+
 namespace jstream::telemetry {
 
+namespace detail {
+
+/// The switch set_enabled() flips; read on every record, written rarely.
+inline std::atomic<bool> g_enabled{true};
+
+}  // namespace detail
+
 /// Global on/off switch shared by every metric; see set_enabled().
-[[nodiscard]] bool enabled() noexcept;
+[[nodiscard]] inline bool enabled() noexcept {
+  return detail::g_enabled.load(std::memory_order_relaxed);
+}
 
 /// Monotonic event counter.
 class Counter {
  public:
-  /// Adds `delta` (default one event). Relaxed atomic; safe from any thread.
+  /// Adds `delta` (default one event) to the calling thread's shard. Safe
+  /// from any thread.
   void add(std::int64_t delta = 1) noexcept {
     if (!enabled()) return;
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    const std::size_t shard = this_thread_shard();
+    shard_add(shards_[shard].value, delta, shard);
   }
 
-  [[nodiscard]] std::int64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
+  /// Sum over the shards.
+  [[nodiscard]] std::int64_t value() const noexcept;
 
   /// Zeroes the counter (used by Registry::reset_values).
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
+  void reset() noexcept;
 
  private:
-  std::atomic<std::int64_t> value_{0};
+  std::array<Padded<std::atomic<std::int64_t>>, kShardCount> shards_;
 };
 
 /// Last-written scalar value.
 class Gauge {
  public:
-  void set(double value) noexcept {
-    if (!enabled()) return;
-    value_.store(value, std::memory_order_relaxed);
-  }
+  /// Stores `value` in the calling thread's shard with an order_stamp();
+  /// value() reports the most recently stamped store.
+  void set(double value) noexcept;
 
-  /// Atomic add via compare-exchange (std::atomic<double>::fetch_add is not
-  /// universally available).
-  void add(double delta) noexcept {
-    if (!enabled()) return;
-    double expected = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(expected, expected + delta,
-                                         std::memory_order_relaxed)) {
-    }
-  }
+  /// Adds `delta` to the current value. One compare-exchange loop on a cell
+  /// every thread shares: exact under concurrent adders, but keep it off the
+  /// slot path. A later set() replaces what was added.
+  void add(double delta) noexcept;
 
-  [[nodiscard]] double value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] double value() const noexcept;
 
-  void reset() noexcept { value_.store(0.0, std::memory_order_relaxed); }
+  void reset() noexcept;
 
  private:
-  std::atomic<double> value_{0.0};
+  struct Cell {
+    std::atomic<double> value{0.0};
+    std::atomic<std::int64_t> stamp{0};  ///< 0 until the first set()
+  };
+  std::array<Padded<Cell>, kShardCount> shards_;
+  std::atomic<double> added_{0.0};  ///< add() total since the last set()
 };
 
 /// Fixed-bucket histogram with linear-interpolated quantiles.
 ///
 /// `upper_bounds` are the inclusive upper edges of the buckets, strictly
 /// increasing; one implicit overflow bucket catches everything above the
-/// last edge. Bucket counts are independent atomics, so concurrent observe()
-/// calls scale across threads.
+/// last edge. Each thread shard holds its own bucket counts and sum, so
+/// concurrent observe() calls scale across threads.
 class Histogram {
  public:
   /// Throws jstream::Error when `upper_bounds` is empty or not strictly
   /// increasing.
   explicit Histogram(std::vector<double> upper_bounds);
 
-  /// Records one observation. Lock-free; safe from any thread.
+  /// Records one observation into the calling thread's shard. Lock-free;
+  /// safe from any thread.
   void observe(double value) noexcept;
 
   [[nodiscard]] std::int64_t count() const noexcept;
   [[nodiscard]] double sum() const noexcept;
 
-  /// Consistent point-in-time copy of the distribution.
+  /// Point-in-time copy of the distribution, merged over the shards;
+  /// `total` is the sum of `counts`.
   struct Snapshot {
     std::vector<double> upper_bounds;   ///< bucket edges (no overflow edge)
     std::vector<std::int64_t> counts;   ///< upper_bounds.size() + 1 entries
@@ -116,10 +132,20 @@ class Histogram {
   void reset() noexcept;
 
  private:
+  /// One shard's bucket counts: lines_per_shard_ whole cache lines.
+  struct alignas(kCacheLineBytes) Line {
+    std::atomic<std::int64_t> cells[kCacheLineBytes / sizeof(std::int64_t)]{};
+  };
+
+  [[nodiscard]] std::atomic<std::int64_t>& bucket(std::size_t shard,
+                                                  std::size_t index) noexcept;
+  [[nodiscard]] const std::atomic<std::int64_t>& bucket(std::size_t shard,
+                                                        std::size_t index) const noexcept;
+
   std::vector<double> bounds_;
-  std::vector<std::atomic<std::int64_t>> buckets_;  ///< bounds_.size() + 1
-  std::atomic<std::int64_t> count_{0};
-  std::atomic<double> sum_{0.0};
+  std::size_t lines_per_shard_ = 0;
+  std::vector<Line> lines_;  ///< kShardCount * lines_per_shard_
+  std::array<Padded<std::atomic<double>>, kShardCount> sums_;
 };
 
 /// `count` edges: start, start*factor, start*factor^2, ... Requires

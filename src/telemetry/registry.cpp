@@ -13,8 +13,6 @@ namespace jstream::telemetry {
 
 namespace {
 
-std::atomic<bool> g_enabled{true};
-
 /// JSON string escaping for metric names and event labels.
 std::string json_escape(const std::string& text) {
   std::string out;
@@ -49,10 +47,8 @@ std::string json_number(double value) {
 
 }  // namespace
 
-bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
-
 void set_enabled(bool on) noexcept {
-  g_enabled.store(on, std::memory_order_relaxed);
+  detail::g_enabled.store(on, std::memory_order_relaxed);
 }
 
 Registry::Registry(std::size_t tracer_capacity) : tracer_(tracer_capacity) {}

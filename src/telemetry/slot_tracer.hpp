@@ -8,13 +8,25 @@
 // is full the oldest events are overwritten, so memory stays bounded no
 // matter how long a run is; `total_recorded()` still counts every event.
 //
-// Recording takes a short mutex (events arrive from thread_pool workers
-// during replication/sweep runs) and is a no-op while telemetry is disabled.
+// Each thread shard (telemetry/shard.hpp) has its own ring of `capacity`
+// events, allocated on the shard's first event, so recording from
+// thread_pool workers takes no lock: a leased shard has one writer, and only
+// writers of the shared last shard serialize on a mutex. Events carry the
+// order_stamp() read at the first event of their slot in their shard, so
+// snapshot() merges the shards by (stamp, shard, position): exact order
+// within a thread, slot-granular order across threads. It returns the
+// newest `capacity` events of that merge. Recording is a no-op while
+// telemetry is disabled.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <vector>
+
+#include "telemetry/shard.hpp"
 
 namespace jstream::telemetry {
 
@@ -40,22 +52,27 @@ struct SlotTraceEvent {
   double value = 0.0;
 };
 
-/// Fixed-capacity ring buffer of SlotTraceEvents.
+/// Fixed-capacity ring buffer of SlotTraceEvents, one ring per thread shard.
 class SlotTracer {
  public:
   /// `capacity` must be >= 1; defaults to a few thousand events, enough to
   /// hold the tail of a long run without unbounded growth.
   explicit SlotTracer(std::size_t capacity = 4096);
+  ~SlotTracer();
 
-  /// Records one event, overwriting the oldest when full. Safe from any
-  /// thread; no-op while telemetry is disabled.
+  SlotTracer(const SlotTracer&) = delete;
+  SlotTracer& operator=(const SlotTracer&) = delete;
+
+  /// Records one event into the calling thread's ring, overwriting its
+  /// oldest event when full. Safe from any thread; no-op while telemetry is
+  /// disabled.
   void record(std::int64_t slot, std::int32_t user, TraceEventKind kind,
               double value) noexcept;
 
-  /// Events currently retained, oldest first.
+  /// The newest `capacity` events over all shards, oldest first.
   [[nodiscard]] std::vector<SlotTraceEvent> snapshot() const;
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   /// Events currently retained (<= capacity).
   [[nodiscard]] std::size_t size() const;
@@ -63,15 +80,36 @@ class SlotTracer {
   /// Every event ever recorded, including overwritten ones.
   [[nodiscard]] std::int64_t total_recorded() const;
 
-  /// Drops all retained events and zeroes total_recorded.
+  /// Drops all retained events and zeroes total_recorded. Call it between
+  /// runs: an event recorded concurrently may survive the clear.
   void clear();
 
  private:
-  mutable std::mutex mutex_;
-  std::vector<SlotTraceEvent> ring_;
-  std::size_t next_ = 0;  ///< next write position
-  std::size_t size_ = 0;
-  std::int64_t total_ = 0;
+  /// One ring slot, published seqlock-style so snapshot() never returns a
+  /// half-written event.
+  struct Entry {
+    std::atomic<std::int64_t> seq{0};  ///< position + 1 once written, 0 while writing
+    std::atomic<std::int64_t> slot{0};
+    std::atomic<std::int64_t> stamp{0};
+    std::atomic<double> value{0.0};
+    std::atomic<std::int32_t> user{-1};
+    std::atomic<TraceEventKind> kind{TraceEventKind::kGrant};
+  };
+
+  struct Ring {
+    std::atomic<Entry*> entries{nullptr};  ///< `capacity_` entries, allocated on first event
+    std::atomic<std::int64_t> recorded{0};  ///< events recorded here since clear()
+    std::atomic<std::size_t> cursor{0};     ///< next write position (recorded % capacity_)
+    std::atomic<std::int64_t> stamp_slot{std::numeric_limits<std::int64_t>::min()};
+    std::atomic<std::int64_t> stamp{0};     ///< order_stamp() of slot `stamp_slot`
+  };
+
+  void write(Ring& ring, std::int64_t slot, std::int32_t user, TraceEventKind kind,
+             double value) noexcept;
+
+  std::size_t capacity_;
+  std::array<Padded<Ring>, kShardCount> rings_;
+  std::mutex shared_mutex_;  ///< serializes writers of the shared shard
 };
 
 }  // namespace jstream::telemetry

@@ -3,6 +3,8 @@
 // contract of docs/SERVICE.md); fingerprints that isolate campaign cells.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -89,6 +91,22 @@ TEST(ArrivalProcess, ValidateRejectsNonsense) {
 
   EXPECT_NO_THROW(validate(ArrivalConfig{}));
   EXPECT_NO_THROW(validate(poisson_config(0.0)));
+}
+
+TEST(ArrivalProcess, ValidateRejectsNonFiniteRateByName) {
+  // +inf passes a sign check and would throw only inside the sampler at the
+  // first step; NaN must name the same error, not the sign check's.
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    std::string error;
+    try {
+      validate(poisson_config(bad));
+    } catch (const Error& e) {
+      error = e.what();
+    }
+    EXPECT_NE(error.find("arrival rate must be finite"), std::string::npos)
+        << "rate " << bad << ": got \"" << error << "\"";
+  }
 }
 
 TEST(ArrivalProcess, FingerprintIsZeroOnlyWhenInactive) {

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -191,6 +193,34 @@ TEST(ForecastNoise, RejectsInvalidSpecs) {
   ForecastErrorSpec stale;
   stale.staleness_slots = -2;
   EXPECT_THROW(validate(stale), Error);
+}
+
+/// The message validate() rejects `spec` with ("" when it accepts it).
+std::string validate_error(const ForecastErrorSpec& spec) {
+  try {
+    validate(spec);
+  } catch (const Error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(ForecastNoise, RejectsNonFiniteBiasAndSigmaByName) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {kInf, -kInf, kNan}) {
+    ForecastErrorSpec spec;
+    spec.bias_dbm = bad;
+    EXPECT_NE(validate_error(spec).find("forecast bias must be finite"), std::string::npos)
+        << "bias " << bad << ": got \"" << validate_error(spec) << "\"";
+  }
+  for (const double bad : {kInf, kNan}) {
+    ForecastErrorSpec spec;
+    spec.sigma_dbm = bad;
+    EXPECT_NE(validate_error(spec).find("forecast noise sigma must be finite"),
+              std::string::npos)
+        << "sigma " << bad << ": got \"" << validate_error(spec) << "\"";
+  }
 }
 
 TEST(ForecastNoise, OracleGapMonotoneNonImprovingInSigma) {
