@@ -1,6 +1,6 @@
 // Perf regression gate for the slot engine (see docs/PERFORMANCE.md).
 //
-// Seven measurement families, all on pinned deterministic workloads:
+// Eight measurement families, all on pinned deterministic workloads:
 //
 //  1. Solver microbench: the production EMA solver against the paper-literal
 //     O(N*M*phi_max) reference on the same instances, timed in alternating
@@ -40,8 +40,13 @@
 //     Both sides must digest equally (telemetry is observation-only),
 //     enforced at every scale; the on/off time ratios are reported, not
 //     gated, since this host's speed regimes would make a bound flake.
+//  8. Trace generation: one N = 200 trace over the full horizon generated
+//     from the main thread (users and link fits spread over the shared
+//     pool) and by the serial public-API walk, in alternating blocks. Every
+//     parallel result must equal the serial one byte for byte, enforced at
+//     every scale; the wall times and their ratio are reported, not gated.
 //
-// Results land in BENCH_PR18.json (override with --out <path>); the JSON
+// Results land in BENCH_PR20.json (override with --out <path>); the JSON
 // schema is documented in docs/PERFORMANCE.md. REPRO_SLOTS in the
 // environment shrinks every loop for smoke runs. The paper-invariant
 // validator must stay at its compiled-out-of-the-hot-path default here: the
@@ -67,6 +72,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "common/thread_pool.hpp"
 #include "core/ema.hpp"
 #include "gateway/framework.hpp"
 #include "net/base_station.hpp"
@@ -470,6 +476,73 @@ PoolScalingResult bench_pool_scaling(std::int64_t horizon) {
 }
 
 // ---------------------------------------------------------------------------
+// Trace generation: user-parallel generation vs the serial public-API walk.
+// ---------------------------------------------------------------------------
+
+struct TraceGenerationResult {
+  std::size_t users = 0;
+  std::int64_t slots = 0;
+  std::size_t blocks = 0;        ///< generations per side
+  std::size_t pool_threads = 0;  ///< workers of the pool the main thread fans out on
+  double parallel_wall_s = 0.0;  ///< mean per generation
+  double serial_wall_s = 0.0;    ///< mean per generation
+  double speedup = 0.0;
+  bool bit_identical = true;
+};
+
+/// The serial reference: constructor, fill_user per user in order,
+/// derive_link.
+std::shared_ptr<const SignalTraceSet> serial_trace_set(const ScenarioConfig& config) {
+  std::vector<UserEndpoint> endpoints = build_endpoints(config);
+  auto set = std::make_shared<SignalTraceSet>(config.users, config.max_slots);
+  for (std::size_t user = 0; user < endpoints.size(); ++user) {
+    set->fill_user(user, *endpoints[user].signal);
+  }
+  set->derive_link(config.link);
+  return set;
+}
+
+bool same_matrices(const SignalTraceSet& a, const SignalTraceSet& b) {
+  const std::size_t bytes = a.users() * checked_size(a.slots()) * sizeof(double);
+  return a.users() == b.users() && a.slots() == b.slots() &&
+         std::memcmp(a.signal_data(), b.signal_data(), bytes) == 0 &&
+         std::memcmp(a.throughput_data(), b.throughput_data(), bytes) == 0 &&
+         std::memcmp(a.energy_data(), b.energy_data(), bytes) == 0;
+}
+
+TraceGenerationResult bench_trace_generation(std::int64_t horizon) {
+  // Alternating blocks (each block flips which side goes first) so a host
+  // speed-regime switch lands on both sides.
+  constexpr std::size_t kUsers = 200;
+  constexpr std::size_t kBlocks = 4;
+  ScenarioConfig scenario = paper_scenario(kUsers, 42);
+  scenario.max_slots = horizon;
+  TraceGenerationResult result;
+  result.users = kUsers;
+  result.slots = horizon;
+  result.blocks = kBlocks;
+  result.pool_threads = caller_or_shared_pool().size();
+  const std::shared_ptr<const SignalTraceSet> reference = serial_trace_set(scenario);
+  const auto timed = [&](bool parallel) {
+    const auto start = Clock::now();
+    const std::shared_ptr<const SignalTraceSet> set =
+        parallel ? generate_signal_trace_set(scenario) : serial_trace_set(scenario);
+    (parallel ? result.parallel_wall_s : result.serial_wall_s) += seconds_since(start);
+    result.bit_identical = result.bit_identical && same_matrices(*set, *reference);
+  };
+  for (std::size_t block = 0; block < kBlocks; ++block) {
+    const bool parallel_first = block % 2 == 0;
+    timed(parallel_first);
+    timed(!parallel_first);
+  }
+  result.parallel_wall_s /= as_double(kBlocks);
+  result.serial_wall_s /= as_double(kBlocks);
+  result.speedup =
+      result.parallel_wall_s > 0.0 ? result.serial_wall_s / result.parallel_wall_s : 0.0;
+  return result;
+}
+
+// ---------------------------------------------------------------------------
 // Disk-warm gate: persistent trace tier vs cold regeneration.
 // ---------------------------------------------------------------------------
 
@@ -770,7 +843,7 @@ TelemetryCostResult bench_telemetry_cost(std::int64_t horizon, std::int64_t warm
 // ---------------------------------------------------------------------------
 
 int run(int argc, const char* const* argv) {
-  std::string out_path = "BENCH_PR18.json";
+  std::string out_path = "BENCH_PR20.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--out" && i + 1 < argc) {
@@ -932,6 +1005,17 @@ int run(int argc, const char* const* argv) {
           : "on != off (MISMATCH)");
   const bool telemetry_pass = telemetry_cost.digests_equal();
 
+  // Trace generation: the parallel result must equal the serial walk byte for
+  // byte (enforced at every scale); the wall times are informational.
+  std::printf("trace generation (N=200, main thread vs serial public-API walk)\n");
+  const TraceGenerationResult generation = bench_trace_generation(clamp(10000));
+  std::printf(
+      "  serial %7.3f s   parallel %7.3f s (%zu-worker shared pool)   speedup %5.2fx   %s\n",
+      generation.serial_wall_s, generation.parallel_wall_s, generation.pool_threads,
+      generation.speedup,
+      generation.bit_identical ? "bit-identical" : "MISMATCH");
+  const bool generation_pass = generation.bit_identical;
+
   const auto hex_digest = [](std::uint64_t digest) {
     char buffer[19];
     std::snprintf(buffer, sizeof(buffer), "0x%016llx",
@@ -952,7 +1036,7 @@ int run(int argc, const char* const* argv) {
   std::ofstream json(out_path);
   require(json.good(), "cannot open perf-gate output file");
   json << "{\n";
-  json << "  \"schema\": \"jstream-perf-gate-v7\",\n";
+  json << "  \"schema\": \"jstream-perf-gate-v8\",\n";
   json << "  \"workload\": \"paper_scenario(users, seed=42), capacity 500 KB/s per user\",\n";
   json << "  \"gate\": {\"metric\": \"solver[0].speedup_vs_reference\", \"min_speedup\": "
        << kMinSpeedup << ", \"pass\": " << (solver_gate_pass ? "true" : "false") << "},\n";
@@ -1031,6 +1115,18 @@ int run(int argc, const char* const* argv) {
        << "\", \"on_digest\": \"" << hex_digest(telemetry_cost.pool_on_digest)
        << "\", \"blocks_agree\": " << (telemetry_cost.pool_blocks_agree ? "true" : "false")
        << "}, \"enforced\": true, \"pass\": " << (telemetry_pass ? "true" : "false")
+       << "},\n";
+  json << "  \"trace_generation_gate\": {\"metric\": \"trace_generation.parallel == "
+       << "trace_generation.serial (memcmp)\", "
+       << "\"users\": " << generation.users
+       << ", \"slots\": " << generation.slots
+       << ", \"blocks\": " << generation.blocks
+       << ", \"pool_threads\": " << generation.pool_threads
+       << ", \"serial_wall_s\": " << generation.serial_wall_s
+       << ", \"parallel_wall_s\": " << generation.parallel_wall_s
+       << ", \"speedup_parallel_vs_serial\": " << generation.speedup
+       << ", \"bit_identical\": " << (generation.bit_identical ? "true" : "false")
+       << ", \"enforced\": true, \"pass\": " << (generation_pass ? "true" : "false")
        << "},\n";
   json << "  \"campaign\": {\"users\": " << campaign.users
        << ", \"schedulers\": " << campaign.schedulers
@@ -1127,11 +1223,19 @@ int run(int argc, const char* const* argv) {
                  telemetry_cost.pool_blocks_agree ? "" : "; blocks disagree");
     return 1;
   }
+  if (!generation_pass) {
+    std::fprintf(stderr,
+                 "PERF GATE FAILED: user-parallel trace generation differs from "
+                 "the serial walk (N=%zu, %lld slots)\n",
+                 generation.users, static_cast<long long>(generation.slots));
+    return 1;
+  }
   std::printf(
       "perf gate passed (solver %.1fx >= %.1fx; ema N=1000 %s; 0 allocs/slot; "
       "campaign %.2fx%s; "
       "pool bit-identical to 1 thread; disk-warm %.2fx%s; service scale %s; "
-      "telemetry observation-only, on/off %.3f slot path, %.3f pool)\n",
+      "telemetry observation-only, on/off %.3f slot path, %.3f pool; "
+      "parallel trace generation bit-identical, %.2fx)\n",
       solver_results.front().speedup, kMinSpeedup,
       ema_gate_enforced ? "< 1 ms/slot" : "informational under REPRO_SLOTS",
       campaign.speedup,
@@ -1139,7 +1243,7 @@ int run(int argc, const char* const* argv) {
       disk.speedup,
       disk_enforced ? " >= 3.0x" : ", ratio informational under REPRO_SLOTS",
       service_enforced ? "within bounds" : "informational under REPRO_SLOTS",
-      slot_telemetry_ratio, pool_telemetry_ratio);
+      slot_telemetry_ratio, pool_telemetry_ratio, generation.speedup);
   return 0;
 }
 

@@ -33,15 +33,19 @@ class ThreadPool {
     using Result = std::invoke_result_t<Fn>;
     auto task = std::make_shared<std::packaged_task<Result()>>(std::forward<Fn>(fn));
     std::future<Result> future = task->get_future();
-    {
-      const std::lock_guard lock(mutex_);
-      queue_.emplace_back([task] { (*task)(); });
-    }
-    cv_.notify_one();
+    post([task] { (*task)(); });
     return future;
   }
 
+  /// Schedules `task` with no future to report through; `task` must not
+  /// throw.
+  void post(std::function<void()> task);
+
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
+
+  /// The pool whose worker is running the calling thread, or nullptr when
+  /// the caller is no pool's worker.
+  [[nodiscard]] static ThreadPool* current() noexcept;
 
  private:
   void worker_loop();
@@ -53,26 +57,41 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
+/// The pool to fan work out on from the calling thread: its own pool when it
+/// is a pool's worker (nested work then stays inside that pool's thread
+/// budget), otherwise one process-wide pool of hardware_concurrency()
+/// workers, started on first use and never torn down.
+[[nodiscard]] ThreadPool& caller_or_shared_pool();
+
 /// Number of chunks parallel_for/parallel_map split `count` items into: a
 /// few chunks per worker (load balance) but never more than `count`.
 [[nodiscard]] std::size_t parallel_chunk_count(const ThreadPool& pool,
                                                std::size_t count) noexcept;
 
 /// Runs fn(i) for i in [0, count) on `pool`, blocking until all complete.
-/// Indices are processed in contiguous chunks — one pool task per chunk, not
-/// per index — so sweeps over thousands of configurations pay O(workers)
-/// scheduling overhead. Iterations must therefore not synchronize with each
-/// other (two indices may share a chunk and run sequentially). Exceptions
-/// from tasks are rethrown (the first one encountered); an exception skips
-/// the rest of its chunk.
+/// Indices are processed in contiguous chunks that threads claim from a
+/// shared counter, so sweeps over thousands of configurations pay
+/// O(workers) scheduling overhead. Iterations must therefore not
+/// synchronize with each other (two indices may share a chunk and run
+/// sequentially).
+///
+/// A caller that is one of `pool`'s workers claims chunks too and then waits
+/// only for chunks other threads have already claimed, so a pool task may
+/// call parallel_for on its own pool without deadlock, even when every other
+/// worker is busy. Any other caller only waits, so no more than size()
+/// threads ever run `fn`. Helper tasks that start after the call returned
+/// find every chunk claimed and never touch `fn`.
+///
+/// Exceptions are rethrown (the first one encountered) once every chunk has
+/// run; an exception skips the rest of its chunk.
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn);
 
 /// Maps fn over [0, count) and collects results in index order. Runs on
 /// parallel_for, so the same chunking and no-cross-index synchronization rule
 /// apply, and an exception surfaces only after every chunk has finished: no
-/// task outlives the call, so the state `fn` references may be freed while
-/// the error unwinds.
+/// task runs `fn` after the call returns, so the state `fn` references may be
+/// freed while the error unwinds.
 template <typename Fn>
 [[nodiscard]] auto parallel_map(ThreadPool& pool, std::size_t count, Fn fn)
     -> std::vector<std::invoke_result_t<Fn, std::size_t>> {

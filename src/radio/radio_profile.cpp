@@ -1,5 +1,7 @@
 #include "radio/radio_profile.hpp"
 
+#include <cmath>
+
 #include "common/error.hpp"
 
 namespace jstream {
@@ -27,6 +29,13 @@ RadioProfile lte_profile() {
 }
 
 void validate(const RadioProfile& profile) {
+  // Checked ahead of the range checks, which an infinity passes (and then
+  // turns the run's energy into NaN or ends it after one slot) and which a
+  // NaN fails under the wrong name.
+  require(std::isfinite(profile.p_dch_mw), "P_DCH must be finite");
+  require(std::isfinite(profile.p_fach_mw), "P_FACH must be finite");
+  require(std::isfinite(profile.t1_s), "T1 must be finite");
+  require(std::isfinite(profile.t2_s), "T2 must be finite");
   require(profile.p_dch_mw >= 0.0, "P_DCH must be non-negative");
   require(profile.p_fach_mw >= 0.0, "P_FACH must be non-negative");
   require(profile.t1_s >= 0.0, "T1 must be non-negative");

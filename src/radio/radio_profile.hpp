@@ -58,7 +58,8 @@ struct RadioProfile {
 /// RRC_CONNECTED tail power ~1060 mW with an ~11.5 s inactivity timer.
 [[nodiscard]] RadioProfile lte_profile();
 
-/// Validates a profile (non-negative powers/timers); throws jstream::Error.
+/// Validates a profile (finite, non-negative powers/timers); throws
+/// jstream::Error naming the first bad field.
 void validate(const RadioProfile& profile);
 
 }  // namespace jstream

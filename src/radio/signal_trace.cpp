@@ -1,6 +1,7 @@
 #include "radio/signal_trace.hpp"
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "common/units.hpp"
 
 namespace jstream {
@@ -51,13 +52,29 @@ void SignalTraceSet::derive_link(const LinkModel& link) {
   require(!mapped(), "mapped trace sets are immutable");
   require(link.throughput != nullptr && link.power != nullptr,
           "link model must be complete");
+  for (std::size_t slot = 0; slot < checked_size(slots_); ++slot) derive_slot(link, slot);
+  link_derived_ = true;
+}
+
+void SignalTraceSet::derive_link(const LinkModel& link, ThreadPool& pool) {
+  require(!mapped(), "mapped trace sets are immutable");
+  require(link.throughput != nullptr && link.power != nullptr,
+          "link model must be complete");
+  // Whole slot rows per index: chunks are contiguous row ranges, so two
+  // threads share a cache line only where their ranges meet.
+  parallel_for(pool, checked_size(slots_),
+               [&](std::size_t slot) { derive_slot(link, slot); });
+  link_derived_ = true;
+}
+
+void SignalTraceSet::derive_slot(const LinkModel& link, std::size_t slot) {
   const ThroughputModel& throughput = *link.throughput;
   const PowerModel& power = *link.power;
-  for (std::size_t i = 0; i < signal_.size(); ++i) {
+  const std::size_t end = (slot + 1) * users_;
+  for (std::size_t i = slot * users_; i < end; ++i) {
     throughput_[i] = throughput.throughput_kbps(signal_[i]);
     energy_[i] = power.energy_per_kb(signal_[i]);
   }
-  link_derived_ = true;
 }
 
 double SignalTraceSet::signal_dbm(std::size_t user, std::int64_t slot) const {

@@ -24,6 +24,8 @@
 
 namespace jstream {
 
+class ThreadPool;
+
 /// Immutable-after-build SoA matrix set: users x slots RSSI plus derived
 /// throughput/power rows. Memory footprint: 8 * users * slots bytes per
 /// matrix, three matrices per set (see total_bytes / docs/PERFORMANCE.md).
@@ -61,6 +63,11 @@ class SignalTraceSet {
   /// derived throughput (KB/s) and energy (mJ/KB) matrices. Must run after
   /// every row is filled; required before the set can back a simulation.
   void derive_link(const LinkModel& link);
+
+  /// derive_link with the slots split over `pool` by parallel_for. Every
+  /// cell is the same pure function of the same signal value, so the result
+  /// is bit-identical to the serial form.
+  void derive_link(const LinkModel& link, ThreadPool& pool);
 
   [[nodiscard]] std::size_t users() const noexcept { return users_; }
   [[nodiscard]] std::int64_t slots() const noexcept { return slots_; }
@@ -100,6 +107,9 @@ class SignalTraceSet {
 
  private:
   SignalTraceSet() = default;  // adopt_mapping's blank slate
+
+  /// Fills the derived cells of slot `slot`'s row.
+  void derive_slot(const LinkModel& link, std::size_t slot);
 
   std::size_t users_ = 0;
   std::int64_t slots_ = 0;

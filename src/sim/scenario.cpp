@@ -94,6 +94,7 @@ void validate(const ScenarioConfig& config) {
           "arrival spread must fit inside the horizon");
   if (config.vbr) {
     require(config.vbr_hold_slots > 0, "VBR hold period must be positive");
+    require(std::isfinite(config.vbr_step_kbps), "VBR step must be finite");
     require(config.vbr_step_kbps > 0.0, "VBR step must be positive");
   }
   if (config.signal_kind == SignalKind::kTrace) {

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "sim/trace_store.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/scoped_timer.hpp"
@@ -157,10 +158,13 @@ std::shared_ptr<const SignalTraceSet> generate_signal_trace_set(
   // slot-by-slot reproduces its values bit-for-bit.
   std::vector<UserEndpoint> endpoints = build_endpoints(config);
   auto set = std::make_shared<SignalTraceSet>(config.users, config.max_slots);
-  for (std::size_t user = 0; user < endpoints.size(); ++user) {
-    set->fill_user(user, *endpoints[user].signal);
-  }
-  set->derive_link(config.link);
+  // Each model walks its own RNG stream and writes only its own user's cells,
+  // so users can fill in any order on any thread: the rows, and the fits
+  // derived from them, come out bit-identical to a serial walk.
+  ThreadPool& pool = caller_or_shared_pool();
+  parallel_for(pool, endpoints.size(),
+               [&](std::size_t user) { set->fill_user(user, *endpoints[user].signal); });
+  set->derive_link(config.link, pool);
   return set;
 }
 

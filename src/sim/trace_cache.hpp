@@ -91,7 +91,9 @@ struct TraceKeyHash {
 /// Generates the full trace set for a scenario: builds the per-user signal
 /// models exactly as build_endpoints does (same RNG stream order), walks
 /// them over [0, max_slots), and derives the link matrices. Bit-identical to
-/// the incremental per-slot path by construction.
+/// the incremental per-slot path by construction. Users, then slot rows, are
+/// spread with parallel_for over caller_or_shared_pool(): the caller's own
+/// pool when it is a pool worker, else the process-wide shared pool.
 [[nodiscard]] std::shared_ptr<const SignalTraceSet> generate_signal_trace_set(
     const ScenarioConfig& config);
 

@@ -10,7 +10,10 @@
 
 #include <atomic>
 #include <cstddef>
+#include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 #include "common/units.hpp"
 
@@ -84,6 +87,94 @@ TEST(ThreadPoolStress, DestructionDrainsQueuedTasks) {
     }
   }
   EXPECT_EQ(executed.load(), kTasks);
+}
+
+TEST(ThreadPoolStress, NestedFanOutFromEveryWorkerRepeatedly) {
+  // Every outer chunk fans out onto the same pool while the other workers
+  // are busy with their own outer chunks; the nested writes are disjoint.
+  ThreadPool pool(4);
+  constexpr std::size_t kOuter = 16;
+  constexpr std::size_t kInner = 256;
+  std::vector<std::size_t> out(kOuter * kInner, 0);
+  for (int round = 0; round < 10; ++round) {
+    parallel_for(pool, kOuter, [&](std::size_t outer) {
+      parallel_for(pool, kInner,
+                   [&, outer](std::size_t inner) { ++out[outer * kInner + inner]; });
+    });
+  }
+  for (const std::size_t v : out) EXPECT_EQ(v, 10U);
+}
+
+TEST(ThreadPoolStress, ThreeLevelNestingCompletes) {
+  ThreadPool pool(2);
+  std::atomic<int> leaves{0};
+  parallel_for(pool, 4, [&](std::size_t) {
+    parallel_for(pool, 4, [&](std::size_t) {
+      parallel_for(pool, 8, [&](std::size_t) { leaves.fetch_add(1); });
+    });
+  });
+  EXPECT_EQ(leaves.load(), 4 * 4 * 8);
+}
+
+TEST(ThreadPoolStress, OutsideAndNestedCallersShareOnePool) {
+  // Two outside threads drive the pool while its tasks nest into it.
+  ThreadPool pool(3);
+  std::atomic<int> leaves{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 2; ++t) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < 5; ++round) {
+        parallel_for(pool, 6, [&](std::size_t) {
+          parallel_for(pool, 32, [&](std::size_t) { leaves.fetch_add(1); });
+        });
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(leaves.load(), 2 * 5 * 6 * 32);
+}
+
+TEST(ThreadPoolStress, NestedErrorsSurfaceAfterEveryChunk) {
+  // Each outer chunk's nested call throws from one chunk; the error must
+  // reach its caller only after the nested call's other items ran.
+  ThreadPool pool(4);
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 40;
+  std::vector<std::atomic<int>> ran(kOuter);
+  std::vector<int> ran_at_catch(kOuter, -1);
+  parallel_for(pool, kOuter, [&](std::size_t outer) {
+    try {
+      parallel_for(pool, kInner, [&, outer](std::size_t inner) {
+        if (inner == outer) throw std::runtime_error("nested boom");
+        ran[outer].fetch_add(1);
+      });
+    } catch (const std::runtime_error&) {
+      ran_at_catch[outer] = ran[outer].load();
+    }
+  });
+  for (std::size_t outer = 0; outer < kOuter; ++outer) {
+    // Nothing ran after the catch, and only the throwing item's chunk (at
+    // most three items of 40 on 16 chunks) skipped its rest.
+    EXPECT_EQ(ran_at_catch[outer], ran[outer].load());
+    EXPECT_GE(ran_at_catch[outer], static_cast<int>(kInner) - 3);
+  }
+}
+
+TEST(ThreadPoolStress, LateHelpersNeverTouchFreedState) {
+  // Nested calls on a saturated pool return before most of their helpers
+  // start; each call's state is freed at once. ASan/TSan flag any helper
+  // that reaches into it.
+  ThreadPool pool(4);
+  std::atomic<int> calls{0};
+  parallel_for(pool, 64, [&](std::size_t) {
+    auto state = std::make_unique<std::vector<int>>(8, 0);
+    parallel_for(pool, state->size(), [&](std::size_t i) {
+      ++(*state)[i];
+      calls.fetch_add(1);
+    });
+    state.reset();
+  });
+  EXPECT_EQ(calls.load(), 64 * 8);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/error.hpp"
 
 namespace jstream {
@@ -38,6 +41,34 @@ TEST(RadioProfile, ValidateRejectsNegativeParameters) {
   p = paper_3g_profile();
   p.t1_s = -0.5;
   EXPECT_THROW(validate(p), Error);
+}
+
+TEST(RadioProfile, ValidateRejectsNonFiniteFieldsByName) {
+  // +inf passes every range check below the finiteness checks, and NaN fails
+  // them under a range check's name; each must get its own named error.
+  struct Field {
+    double RadioProfile::*member;
+    const char* message;
+  };
+  const Field fields[] = {{&RadioProfile::p_dch_mw, "P_DCH must be finite"},
+                          {&RadioProfile::p_fach_mw, "P_FACH must be finite"},
+                          {&RadioProfile::t1_s, "T1 must be finite"},
+                          {&RadioProfile::t2_s, "T2 must be finite"}};
+  for (const Field& field : fields) {
+    for (const double bad : {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+      RadioProfile p = paper_3g_profile();
+      p.*field.member = bad;
+      std::string error;
+      try {
+        validate(p);
+      } catch (const Error& e) {
+        error = e.what();
+      }
+      EXPECT_NE(error.find(field.message), std::string::npos)
+          << field.message << ", value " << bad << ": got \"" << error << "\"";
+    }
+  }
 }
 
 TEST(RadioProfile, ValidateRejectsLteWithFachTimer) {

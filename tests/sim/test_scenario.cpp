@@ -139,6 +139,26 @@ TEST(Scenario, NonFiniteBitrateIsRejected) {
                              "maximum bitrate must be finite");
 }
 
+TEST(Scenario, NonFiniteVbrStepIsRejected) {
+  expect_non_finite_rejected(
+      [](ScenarioConfig& c, double v) {
+        c.vbr = true;
+        c.vbr_step_kbps = v;
+      },
+      "VBR step must be finite");
+}
+
+TEST(Scenario, NonFiniteRadioProfileIsRejected) {
+  expect_non_finite_rejected([](ScenarioConfig& c, double v) { c.radio.p_dch_mw = v; },
+                             "P_DCH must be finite");
+  expect_non_finite_rejected([](ScenarioConfig& c, double v) { c.radio.p_fach_mw = v; },
+                             "P_FACH must be finite");
+  expect_non_finite_rejected([](ScenarioConfig& c, double v) { c.radio.t1_s = v; },
+                             "T1 must be finite");
+  expect_non_finite_rejected([](ScenarioConfig& c, double v) { c.radio.t2_s = v; },
+                             "T2 must be finite");
+}
+
 TEST(Scenario, InfiniteBackhaulStaysUnlimited) {
   ScenarioConfig config = paper_scenario(5);
   config.backhaul_kbps = std::numeric_limits<double>::infinity();
