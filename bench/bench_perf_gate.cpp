@@ -6,7 +6,9 @@
 //     O(N*M*phi_max) reference on the same instances, timed in alternating
 //     short blocks. The gate requires the production solver >= 5x over the
 //     reference at N = 40 users with M >= 200 capacity units (the paper's
-//     evaluation scale).
+//     evaluation scale) on a mixed-cost instance. Eq. 5 and continuous-tail
+//     instances at N = 40 and N = 200 report each DP row kernel (valley
+//     rows, deque rows) with the rows it took, ungated.
 //  2. Slot-path matrix: end-to-end Framework::run_slot cost (mean ns/slot
 //     with a 95% Student-t confidence half-width, both the per-run
 //     SignalModel path and the campaign engine's cached-trace path), the
@@ -46,7 +48,7 @@
 //     parallel result must equal the serial one byte for byte, enforced at
 //     every scale; the wall times and their ratio are reported, not gated.
 //
-// Results land in BENCH_PR20.json (override with --out <path>); the JSON
+// Results land in BENCH_PR21.json (override with --out <path>); the JSON
 // schema is documented in docs/PERFORMANCE.md. REPRO_SLOTS in the
 // environment shrinks every loop for smoke runs. The paper-invariant
 // validator must stay at its compiled-out-of-the-hot-path default here: the
@@ -161,8 +163,25 @@ struct SolverInstance {
   std::int64_t capacity = 0;
 };
 
+/// Which DP row kernel an instance exercises. Under Eq. 5 (active_base = 0)
+/// every user's cost is convex in phi and every row is a valley row; a
+/// continuous tail (active_base > idle) makes the first unit dearer than the
+/// rest, so most rows fail the valley test and run the deque; the mixed
+/// draw (half the users with a base) is the gated instance.
+enum class CostModel { kMixed, kEq5, kContinuousTail };
+
+const char* cost_model_name(CostModel model) {
+  switch (model) {
+    case CostModel::kMixed: return "mixed";
+    case CostModel::kEq5: return "eq5";
+    case CostModel::kContinuousTail: return "continuous-tail";
+  }
+  return "?";
+}
+
 SolverInstance make_solver_instance(std::size_t users, std::int64_t capacity,
-                                    std::int64_t max_cap, std::uint64_t seed) {
+                                    std::int64_t max_cap, std::uint64_t seed,
+                                    CostModel model) {
   SolverInstance inst;
   Rng rng(seed);
   inst.costs.idle_cost.resize(users);
@@ -172,8 +191,16 @@ SolverInstance make_solver_instance(std::size_t users, std::int64_t capacity,
   for (std::size_t i = 0; i < users; ++i) {
     // Cost regimes of a loaded EMA slot: tail-scale idle costs, slopes on
     // both sides of zero (queue pressure flips the sign), heterogeneous caps.
-    inst.costs.idle_cost[i] = rng.uniform(0.0, 5.0);
-    inst.costs.active_base[i] = rng.uniform(0.0, 1.0) < 0.5 ? 0.0 : rng.uniform(0.0, 2.0);
+    double& idle = inst.costs.idle_cost[i];
+    double& base = inst.costs.active_base[i];
+    idle = rng.uniform(0.0, 5.0);
+    if (model == CostModel::kMixed) {
+      base = rng.uniform(0.0, 1.0) < 0.5 ? 0.0 : rng.uniform(0.0, 2.0);
+    } else if (model == CostModel::kEq5) {
+      base = 0.0;
+    } else {
+      base = idle + rng.uniform(0.5, 2.0);
+    }
     inst.costs.slope[i] = rng.uniform(-1.0, 1.0);
     inst.caps[i] = rng.uniform_int(1, max_cap);
   }
@@ -190,29 +217,38 @@ double allocation_cost(const EmaSlotCosts& costs, const Allocation& alloc) {
 }
 
 struct SolverResult {
+  CostModel model = CostModel::kMixed;
   std::size_t users = 0;
   std::int64_t capacity_units = 0;
   std::int64_t fast_iters = 0;
   std::int64_t reference_iters = 0;
   double ns_per_solve = 0.0;  ///< production solver
   double reference_ns_per_solve = 0.0;
-  double speedup = 0.0;       ///< production solver vs reference (gated)
+  double speedup = 0.0;       ///< production solver vs reference (solver[0] gated)
+  std::int64_t dp_rows = 0;     ///< DP rows in one production solve
+  std::int64_t deque_rows = 0;  ///< of which ran the deque (the rest are valley rows)
 };
 
 SolverResult bench_solver(std::size_t users, std::int64_t capacity,
-                          std::int64_t fast_iters, std::int64_t ref_iters) {
+                          std::int64_t fast_iters, std::int64_t ref_iters,
+                          CostModel model = CostModel::kMixed) {
   SolverResult result;
+  result.model = model;
   result.users = users;
   result.capacity_units = capacity;
   result.fast_iters = fast_iters;
   result.reference_iters = ref_iters;
 
-  const SolverInstance inst = make_solver_instance(users, capacity, 40, 0xbeef + users);
+  const SolverInstance inst =
+      make_solver_instance(users, capacity, 40, 0xbeef + users, model);
   EmaDpWorkspace ws;
   Allocation out;
 
-  // Warm both paths and check they agree before trusting the timings.
+  // Warm both paths and check they agree before trusting the timings; the
+  // warm solve also counts the rows each kernel took.
   solve_min_cost_dp(inst.costs, inst.caps, inst.capacity, ws, out);
+  result.dp_rows = ws.dp_solves * checked_index(users);
+  result.deque_rows = ws.deque_rows;
   const double fast_cost = allocation_cost(inst.costs, out);
   const Allocation ref = solve_min_cost_dp_reference(inst.costs, inst.caps, inst.capacity);
   const double ref_cost = allocation_cost(inst.costs, ref);
@@ -843,7 +879,7 @@ TelemetryCostResult bench_telemetry_cost(std::int64_t horizon, std::int64_t warm
 // ---------------------------------------------------------------------------
 
 int run(int argc, const char* const* argv) {
-  std::string out_path = "BENCH_PR20.json";
+  std::string out_path = "BENCH_PR21.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--out" && i + 1 < argc) {
@@ -861,16 +897,25 @@ int run(int argc, const char* const* argv) {
   // and the tentpole scale (N = 1000, M = 5000). Production runs ten solves
   // per reference solve at N = 40 and N = 200 and 50 per 3 at N = 1000, so
   // the two timed totals are about equally long and a stall of a few ms
-  // cannot swing the ratio from the short side.
+  // cannot swing the ratio from the short side. The mixed-cost rows come
+  // first (solver[0] is the gated one); the Eq. 5 and continuous-tail rows
+  // after them report each DP row kernel on its own, ungated.
   std::printf("solver microbench (production solver vs reference DP)\n");
   std::vector<SolverResult> solver_results;
   solver_results.push_back(bench_solver(40, 250, 10 * clamp(200), clamp(200)));
   solver_results.push_back(bench_solver(200, 1000, 10 * clamp(20), clamp(20)));
   solver_results.push_back(bench_solver(1000, 5000, clamp(50), clamp(3)));
+  for (const CostModel model : {CostModel::kEq5, CostModel::kContinuousTail}) {
+    solver_results.push_back(bench_solver(40, 250, 10 * clamp(200), clamp(200), model));
+    solver_results.push_back(bench_solver(200, 1000, 10 * clamp(20), clamp(20), model));
+  }
   for (const SolverResult& r : solver_results) {
-    std::printf("  N=%-4zu M=%-5lld production %9.0f ns   reference %12.0f ns   %7.1fx\n",
-                r.users, static_cast<long long>(r.capacity_units), r.ns_per_solve,
-                r.reference_ns_per_solve, r.speedup);
+    std::printf(
+        "  %-15s N=%-4zu M=%-5lld production %9.0f ns   reference %12.0f ns   %7.1fx   "
+        "%lld of %lld rows on the deque\n",
+        cost_model_name(r.model), r.users, static_cast<long long>(r.capacity_units),
+        r.ns_per_solve, r.reference_ns_per_solve, r.speedup,
+        static_cast<long long>(r.deque_rows), static_cast<long long>(r.dp_rows));
   }
 
   constexpr double kMinSpeedup = 5.0;
@@ -1036,7 +1081,7 @@ int run(int argc, const char* const* argv) {
   std::ofstream json(out_path);
   require(json.good(), "cannot open perf-gate output file");
   json << "{\n";
-  json << "  \"schema\": \"jstream-perf-gate-v8\",\n";
+  json << "  \"schema\": \"jstream-perf-gate-v9\",\n";
   json << "  \"workload\": \"paper_scenario(users, seed=42), capacity 500 KB/s per user\",\n";
   json << "  \"gate\": {\"metric\": \"solver[0].speedup_vs_reference\", \"min_speedup\": "
        << kMinSpeedup << ", \"pass\": " << (solver_gate_pass ? "true" : "false") << "},\n";
@@ -1141,12 +1186,14 @@ int run(int argc, const char* const* argv) {
   json << "  \"solver\": [\n";
   for (std::size_t i = 0; i < solver_results.size(); ++i) {
     const SolverResult& r = solver_results[i];
-    json << "    {\"users\": " << r.users << ", \"capacity_units\": " << r.capacity_units
+    json << "    {\"costs\": \"" << cost_model_name(r.model) << "\", \"users\": " << r.users
+         << ", \"capacity_units\": " << r.capacity_units
          << ", \"fast_iters\": " << r.fast_iters
          << ", \"reference_iters\": " << r.reference_iters
          << ", \"ns_per_solve\": " << r.ns_per_solve
          << ", \"reference_ns_per_solve\": " << r.reference_ns_per_solve
-         << ", \"speedup_vs_reference\": " << r.speedup << "}"
+         << ", \"speedup_vs_reference\": " << r.speedup
+         << ", \"dp_rows\": " << r.dp_rows << ", \"deque_rows\": " << r.deque_rows << "}"
          << (i + 1 < solver_results.size() ? "," : "") << "\n";
   }
   json << "  ],\n";

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full local correctness gauntlet — the seven gates a PR must pass. Stops at
+# Full local correctness gauntlet — the eight gates a PR must pass. Stops at
 # the first failing stage with a nonzero exit. Each stage can be skipped via
 # its environment variable (set to 1), e.g. a machine without the disk for
 # three build trees can run just the plain stage:
@@ -11,12 +11,13 @@
 #   2. clang-tidy wall over src/           (SKIP_TIDY; auto-skips if absent)
 #   3. ASan/UBSan build + full ctest       (SKIP_ASAN)
 #   4. TSan build + `ctest -L concurrency` (SKIP_TSAN)
-#   5. smoke benches under --validate      (SKIP_SMOKE)
-#   6. perf gate: bench_perf_gate          (SKIP_PERF)
-#   7. jstream_lint project rules, src/    (SKIP_LINT)
+#   5. EMA without AVX2: decision tests    (SKIP_NOSIMD)
+#   6. smoke benches under --validate      (SKIP_SMOKE)
+#   7. perf gate: bench_perf_gate          (SKIP_PERF)
+#   8. jstream_lint project rules, src/    (SKIP_LINT)
 #
-# Build trees: build/ (plain), build-asan/, build-tsan/. JOBS controls -j
-# (default: nproc).
+# Build trees: build/ (plain), build-asan/, build-tsan/, build-nosimd/. JOBS
+# controls -j (default: nproc).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -26,41 +27,57 @@ cd "${repo_root}"
 stage() { printf '\n=== %s ===\n' "$1"; }
 
 if [[ "${SKIP_PLAIN:-0}" != 1 ]]; then
-  stage "1/7 plain build + ctest"
+  stage "1/8 plain build + ctest"
   cmake -B build -S . > /dev/null
   cmake --build build -j "${jobs}"
   ctest --test-dir build --output-on-failure -j "${jobs}" -LE smoke
 else
-  stage "1/7 plain build + ctest — SKIPPED (SKIP_PLAIN=1)"
+  stage "1/8 plain build + ctest — SKIPPED (SKIP_PLAIN=1)"
 fi
 
 if [[ "${SKIP_TIDY:-0}" != 1 ]]; then
-  stage "2/7 clang-tidy wall"
+  stage "2/8 clang-tidy wall"
   scripts/run_clang_tidy.sh build
 else
-  stage "2/7 clang-tidy wall — SKIPPED (SKIP_TIDY=1)"
+  stage "2/8 clang-tidy wall — SKIPPED (SKIP_TIDY=1)"
 fi
 
 if [[ "${SKIP_ASAN:-0}" != 1 ]]; then
-  stage "3/7 ASan/UBSan build + ctest"
+  stage "3/8 ASan/UBSan build + ctest"
   cmake -B build-asan -S . -DJSTREAM_SANITIZE="address;undefined" > /dev/null
   cmake --build build-asan -j "${jobs}"
   ctest --test-dir build-asan --output-on-failure -j "${jobs}" -LE smoke
 else
-  stage "3/7 ASan/UBSan — SKIPPED (SKIP_ASAN=1)"
+  stage "3/8 ASan/UBSan — SKIPPED (SKIP_ASAN=1)"
 fi
 
 if [[ "${SKIP_TSAN:-0}" != 1 ]]; then
-  stage "4/7 TSan build + concurrency suites"
+  stage "4/8 TSan build + concurrency suites"
   cmake -B build-tsan -S . -DJSTREAM_SANITIZE="thread" > /dev/null
   cmake --build build-tsan -j "${jobs}"
   ctest --test-dir build-tsan --output-on-failure -L concurrency
 else
-  stage "4/7 TSan — SKIPPED (SKIP_TSAN=1)"
+  stage "4/8 TSan — SKIPPED (SKIP_TSAN=1)"
+fi
+
+if [[ "${SKIP_NOSIMD:-0}" != 1 ]]; then
+  stage "5/8 EMA solver without AVX2 (JSTREAM_EMA_SIMD=OFF)"
+  # src/core/CMakeLists.txt compiles the EMA solver with AVX2 and strict FP
+  # and promises the same decisions without those flags. The DP's valley
+  # rows lean on the vectoriser, so rebuild the solver without them and rerun
+  # the solver tests and both golden digest suites, which pin every decision.
+  cmake -B build-nosimd -S . -DJSTREAM_EMA_SIMD=OFF > /dev/null
+  cmake --build build-nosimd -j "${jobs}" --target test_core test_golden_runs \
+    test_service_golden
+  build-nosimd/tests/test_core
+  build-nosimd/tests/test_golden_runs
+  build-nosimd/tests/test_service_golden
+else
+  stage "5/8 EMA without AVX2 — SKIPPED (SKIP_NOSIMD=1)"
 fi
 
 if [[ "${SKIP_SMOKE:-0}" != 1 ]]; then
-  stage "5/7 smoke benches (--validate, REPRO_SLOTS=50)"
+  stage "6/8 smoke benches (--validate, REPRO_SLOTS=50)"
   ctest --test-dir build --output-on-failure -L smoke
   # One figure explicitly through the campaign engine: run_grid -> run_campaign
   # shards the scheduler x population grid over the thread pool with the shared
@@ -84,11 +101,11 @@ if [[ "${SKIP_SMOKE:-0}" != 1 ]]; then
   ctest --test-dir build --output-on-failure -L session -LE smoke
   ctest --test-dir build --output-on-failure -L golden
 else
-  stage "5/7 smoke benches — SKIPPED (SKIP_SMOKE=1)"
+  stage "6/8 smoke benches — SKIPPED (SKIP_SMOKE=1)"
 fi
 
 if [[ "${SKIP_PERF:-0}" != 1 ]]; then
-  stage "6/7 perf gate (bench_perf_gate -> BENCH_PR20.json)"
+  stage "7/8 perf gate (bench_perf_gate -> BENCH_PR21.json)"
   # Enforces the pinned regression gates: the exact-EMA solver >= 5x over the
   # paper-literal DP, exact EMA < 1 ms/slot end-to-end at N = 1000, zero
   # steady-state allocations in every slot-path row, the campaign cache >= 3x
@@ -100,20 +117,20 @@ if [[ "${SKIP_PERF:-0}" != 1 ]]; then
   # timing/scale gates turn informational (the binary still verifies solver
   # agreement, the allocation gate, and the bit-identity gates); unset it
   # for the real gate.
-  build/bench/bench_perf_gate --out build/BENCH_PR20.json
+  build/bench/bench_perf_gate --out build/BENCH_PR21.json
 else
-  stage "6/7 perf gate — SKIPPED (SKIP_PERF=1)"
+  stage "7/8 perf gate — SKIPPED (SKIP_PERF=1)"
 fi
 
 if [[ "${SKIP_LINT:-0}" != 1 ]]; then
-  stage "7/7 jstream_lint project rules over src/"
+  stage "8/8 jstream_lint project rules over src/"
   # The project-rule analyzer (tools/lint): hot-path allocations, Rng
   # discipline, digest determinism, checked narrowing, finalize guards.
   # Pure lexical C++, gcc-only friendly — this gate never self-skips.
   # Rules, suppression syntax, and rationale: docs/STATIC_ANALYSIS.md.
   build/tools/lint/jstream_lint --root "${repo_root}" --list-suppressions src
 else
-  stage "7/7 jstream_lint — SKIPPED (SKIP_LINT=1)"
+  stage "8/8 jstream_lint — SKIPPED (SKIP_LINT=1)"
 fi
 
 printf '\nAll requested stages passed.\n'

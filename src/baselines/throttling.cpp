@@ -9,6 +9,7 @@
 namespace jstream {
 
 ThrottlingScheduler::ThrottlingScheduler(double rate_factor) : rate_factor_(rate_factor) {
+  require(std::isfinite(rate_factor_), "throttling rate factor must be finite");
   require(rate_factor_ >= 1.0, "throttling rate factor must be >= 1");
 }
 

@@ -110,74 +110,159 @@ bool try_separable(const EmaSlotCosts& costs, std::span<const std::int64_t> caps
   return true;
 }
 
-/// One DP row: sliding-window minimum over j in [m - cap, m - 1] of
-/// key(j) = prev[j] - slope*j; the phi >= 1 candidate at column m is then
-/// prev[j*] + base + slope*(m - j*). Ties keep the larger j (smaller phi),
-/// matching the reference DP's ascending-phi strict-improvement scan. Keys
-/// live in dq_key parallel to the index deque so the push comparison needs no
-/// indirect load.
+/// The phi = 0 branch of columns [first, last]: the user takes nothing.
+void fill_idle(const double* JSTREAM_RESTRICT prev, double* JSTREAM_RESTRICT cur,
+               std::int32_t* JSTREAM_RESTRICT g, std::int32_t first,
+               std::int32_t last, double idle) {
+  for (std::int32_t m = first; m <= last; ++m) {
+    cur[m] = prev[m] + idle;
+    g[m] = 0;
+  }
+}
+
+/// Columns [first, last] whose window minimum sits at j* = m - phi for one
+/// fixed phi. Each column keeps the phi = 0 branch unless the candidate
+/// prev[j*] + base + slope*phi is strictly below it — the deque's expression
+/// and comparison, written branch-free so the span vectorises.
+void fill_fixed_phi(const double* JSTREAM_RESTRICT prev, double* JSTREAM_RESTRICT cur,
+                    std::int32_t* JSTREAM_RESTRICT g, std::int32_t first,
+                    std::int32_t last, std::int32_t phi, double idle, double base,
+                    double slope) {
+  const double active = slope * as_double(phi);
+  for (std::int32_t m = first; m <= last; ++m) {
+    const double stay = prev[m] + idle;
+    const double candidate = prev[m - phi] + base + active;
+    const bool take = candidate < stay;
+    cur[m] = take ? candidate : stay;
+    g[m] = take ? phi : 0;
+  }
+}
+
+/// Columns [first, last] whose window minimum sits at one fixed j* = bottom,
+/// so phi = m - bottom grows along the span.
+void fill_fixed_j(const double* JSTREAM_RESTRICT prev, double* JSTREAM_RESTRICT cur,
+                  std::int32_t* JSTREAM_RESTRICT g, std::int32_t first,
+                  std::int32_t last, std::int32_t bottom, double idle, double base,
+                  double slope) {
+  const double from = prev[bottom] + base;
+  for (std::int32_t m = first; m <= last; ++m) {
+    const std::int32_t phi = m - bottom;
+    const double stay = prev[m] + idle;
+    const double candidate = from + slope * as_double(phi);
+    const bool take = candidate < stay;
+    cur[m] = take ? candidate : stay;
+    g[m] = take ? phi : 0;
+  }
+}
+
+/// Valley test for a row with cap >= 2. Writes the keys the deque would push
+/// for columns 1..reach, k[j] = prev[j] - slope*j, over j <= q =
+/// min(prev_reach, reach - 1), and returns p when they fall (>=) to k[p] and
+/// then rise strictly (>): the deque's largest-index window minimum at
+/// column m is then clamp(p, m - cap, m - 1). Returns -1 otherwise, or when
+/// any key is NaN (it fails both comparisons).
 ///
-/// A block prefix/suffix reformulation of the window minimum was measured
-/// here and lost to the deque (its running-min scans are serial dependences
-/// and its auxiliary arrays triple the memory traffic).
-void dp_row(const double* JSTREAM_RESTRICT prev, double* JSTREAM_RESTRICT cur,
-            std::int32_t* JSTREAM_RESTRICT g, std::size_t width, std::int64_t cap,
-            double idle, double base, double slope,
-            double* JSTREAM_RESTRICT dq_key, std::int32_t* JSTREAM_RESTRICT dq) {
-  cur[0] = prev[0] + idle;
-  g[0] = 0;
-  if (cap == 0) {
-    // The user can receive nothing: the row is a pure idle shift.
-    for (std::size_t m = 1; m < width; ++m) {
-      cur[m] = prev[m] + idle;
-      g[m] = 0;
-    }
-    return;
-  }
-  if (cap == 1) {
-    // Window of one: the only active candidate at column m is phi = 1, the
-    // same expression the deque would evaluate. Skipping the deque
-    // bookkeeping here is measurable on the fault sweep (docs/PERFORMANCE.md,
-    // section 2).
-    for (std::size_t m = 1; m < width; ++m) {
-      double best = prev[m] + idle;
-      std::int32_t best_phi = 0;
-      const double candidate = prev[m - 1] + base + slope * 1.0;
-      if (candidate < best) {
-        best = candidate;
-        best_phi = 1;
-      }
-      cur[m] = best;
-      g[m] = best_phi;
-    }
-    return;
-  }
-  std::size_t head = 0;
-  std::size_t tail = 0;
+/// Windows of the first rows also cover columns past prev_reach, which no
+/// earlier user can fill: their prev entries are +inf or NaN, so their keys
+/// are too, and pushing such a key never pops one below +inf. So while
+/// k[q] < +inf the deque's front stays on a reachable column, which every
+/// window holds (reach <= prev_reach + cap). An overflowed k[q] = +inf with
+/// a finite prev[q] would be popped, and sends the row to the deque.
+std::int32_t valley_bottom(const double* JSTREAM_RESTRICT prev,
+                           double* JSTREAM_RESTRICT key, std::int32_t prev_reach,
+                           std::int32_t reach, double slope) {
+  const std::int32_t q = std::min(prev_reach, reach - 1);
+  for (std::int32_t j = 0; j <= q; ++j) key[j] = prev[j] - slope * as_double(j);
+  if (q < reach - 1 && !(key[q] < kInf)) return -1;
+  // The falls must be exactly the first p steps and the rises the rest; a
+  // NaN step is neither, so it leaves a rise short.
+  std::int64_t falls = 0;
+  for (std::int32_t j = 0; j < q; ++j) falls += key[j] >= key[j + 1];
+  const std::int32_t p = checked_i32(falls);
+  std::int64_t rises = 0;
+  for (std::int32_t j = p; j < q; ++j) rises += key[j + 1] > key[j];
+  return rises == q - p ? p : -1;
+}
+
+/// The monotone-deque row for columns [1, reach]: sliding-window minimum over
+/// j in [m - cap, m - 1] of key(j) = prev[j] - slope*j; the phi >= 1
+/// candidate at column m is then prev[j*] + base + slope*(m - j*). Ties keep
+/// the larger j (smaller phi), matching the reference DP's ascending-phi
+/// strict-improvement scan. Keys live in dq_key parallel to the index deque
+/// so the push comparison needs no indirect load.
+void deque_row(const double* JSTREAM_RESTRICT prev, double* JSTREAM_RESTRICT cur,
+               std::int32_t* JSTREAM_RESTRICT g, std::int32_t reach, std::int32_t cap,
+               double idle, double base, double slope,
+               double* JSTREAM_RESTRICT dq_key, std::int32_t* JSTREAM_RESTRICT dq) {
+  std::int32_t head = 0;
+  std::int32_t tail = 0;
   double prev_m = prev[0];  // rolls forward: the push key at column m uses prev[m-1]
-  for (std::size_t m = 1; m < width; ++m) {
+  for (std::int32_t m = 1; m <= reach; ++m) {
     const double key = prev_m - slope * as_double(m - 1);
     while (tail > head && key <= dq_key[tail - 1]) --tail;
     dq_key[tail] = key;
-    dq[tail] = checked_i32(m - 1);
+    dq[tail] = m - 1;
     ++tail;
     // The window lower bound m - cap advances by one per column, so at most
     // one eviction per step; j = m-1 (just pushed, >= m - cap) survives it,
     // so the deque is never left empty.
-    if (std::int64_t{dq[head]} < checked_index(m) - cap) ++head;
+    if (dq[head] < m - cap) ++head;
     prev_m = prev[m];
     double best = prev_m + idle;
     std::int32_t best_phi = 0;
-    const auto j = checked_size(dq[head]);
-    const auto phi = checked_index(m - j);
+    const std::int32_t j = dq[head];
+    const std::int32_t phi = m - j;
     const double candidate = prev[j] + base + slope * as_double(phi);
     if (candidate < best) {
       best = candidate;
-      best_phi = checked_i32(phi);
+      best_phi = phi;
     }
     cur[m] = best;
     g[m] = best_phi;
   }
+}
+
+/// One DP row over columns [0, last]. Users [0, i) fill at most prev_reach
+/// units and users [0, i] at most reach = min(last, prev_reach + cap), so
+/// the active branches run on [1, reach] only; every column past reach gets
+/// the phi = 0 shift, which is what a full-width row decides there too (its
+/// window holds only unfillable prev entries, and no candidate built on them
+/// compares below the shift). `cap` is already clamped to `last`, which
+/// changes no window. Returns true when the row ran the deque.
+///
+/// A row whose keys pass valley_bottom is filled as three spans — j* = m - 1
+/// while m - 1 <= p, then j* = p, then j* = m - cap — with the deque's own
+/// candidate expression, so it produces the deque's bits with no
+/// data-dependent branch. Under Eq. 5 every user's cost is convex in phi, so
+/// every row of a real EMA slot takes this path; rows that fail the test
+/// (continuous-tail costs, floating-point near-ties) run the deque.
+bool dp_row(const double* JSTREAM_RESTRICT prev, double* JSTREAM_RESTRICT cur,
+            std::int32_t* JSTREAM_RESTRICT g, std::int32_t last,
+            std::int32_t prev_reach, std::int32_t reach, std::int32_t cap, double idle,
+            double base, double slope, double* JSTREAM_RESTRICT key,
+            std::int32_t* JSTREAM_RESTRICT dq) {
+  cur[0] = prev[0] + idle;
+  g[0] = 0;
+  if (cap == 0) {
+    // The user can receive nothing: the row is a pure idle shift.
+    fill_idle(prev, cur, g, 1, last, idle);
+    return false;
+  }
+  // A window of one holds only j = m - 1, so the first span is the whole row.
+  const std::int32_t p =
+      cap == 1 ? reach : valley_bottom(prev, key, prev_reach, reach, slope);
+  const bool deque = p < 0;
+  if (deque) {
+    deque_row(prev, cur, g, reach, cap, idle, base, slope, key, dq);
+  } else {
+    const std::int32_t falling_end = std::min(p + 1, reach);
+    const std::int32_t bottom_end = std::min(p + cap, reach);
+    fill_fixed_phi(prev, cur, g, 1, falling_end, 1, idle, base, slope);
+    fill_fixed_j(prev, cur, g, falling_end + 1, bottom_end, p, idle, base, slope);
+    fill_fixed_phi(prev, cur, g, bottom_end + 1, reach, cap, idle, base, slope);
+  }
+  fill_idle(prev, cur, g, reach + 1, last, idle);
+  return deque;
 }
 
 /// Final-row argmin (smallest M on ties) + Algorithm 2 steps 15-18 backtrack.
@@ -296,10 +381,17 @@ void solve_min_cost_dp(const EmaSlotCosts& costs, std::span<const std::int64_t> 
   prev[0] = 0.0;
 
   ++ws.dp_solves;
+  const std::int32_t last = checked_i32(m_max);
+  std::int32_t reach = 0;  // the most units users [0, i) can fill
   for (std::size_t i = 0; i < n; ++i) {
-    dp_row(prev, cur, &ws.choice[i * width], width, caps[i], costs.idle_cost[i],
-           costs.active_base[i], costs.slope[i], ws.window_key.data(),
-           ws.deque.data());
+    const std::int32_t cap = checked_i32(std::min(caps[i], m_max));
+    const std::int32_t prev_reach = reach;
+    reach = std::min(last, prev_reach + cap);
+    if (dp_row(prev, cur, &ws.choice[i * width], last, prev_reach, reach, cap,
+               costs.idle_cost[i], costs.active_base[i], costs.slope[i],
+               ws.window_key.data(), ws.deque.data())) {
+      ++ws.deque_rows;
+    }
     std::swap(prev, cur);
   }
   backtrack(prev, ws.choice.data(), n, width, out.units);
@@ -360,6 +452,7 @@ Allocation solve_min_cost_dp_reference(const EmaSlotCosts& costs,
 }
 
 EmaScheduler::EmaScheduler(EmaConfig config) : config_(config) {
+  require(std::isfinite(config_.v_weight), "V must be finite");
   require(config_.v_weight > 0.0, "V must be positive");
 }
 

@@ -19,18 +19,41 @@
 //     = slope*m + min_{m - cap <= j <= m - 1} (prev[j] - slope*j),
 //
 // so the row is solvable in O(M) with a monotone deque. `solve_min_cost_dp`
-// is the production exact solver (docs/PERFORMANCE.md, section 2):
+// is the production exact solver (docs/PERFORMANCE.md, sections 1-2):
 //
 //   * a tie-margin-guarded separable fast path: when every user's
 //     unconstrained optimum fits under the capacity — the common case at
 //     large N — the coupled DP provably decomposes per user, O(N) total;
-//   * otherwise the O(N * M) monotone-deque DP, streaming over
-//     cache-line-aligned SoA lanes (common/simd.hpp).
+//   * otherwise the O(N * M) DP, streaming over cache-line-aligned SoA
+//     lanes (common/simd.hpp), one row per user:
+//     - Reachable columns. Users [0, i] can fill at most
+//       min(M, sum_{k<=i} cap_k) units, so a row's active branches stop
+//       there; every later column takes the phi = 0 shift, which is what a
+//       full-width row decides there too.
+//     - Valley rows. A row first computes its window keys
+//       k[j] = prev[j] - slope*j with the deque's expression and checks,
+//       with the deque's comparisons (>= then >; a NaN fails both), that
+//       they fall to some k[p] and then rise strictly. Then the deque's
+//       largest-index window minimum at column m is exactly
+//       clamp(p, m - cap, m - 1), and the row is three branch-free,
+//       vectorised spans (j* = m - 1, p, m - cap) that evaluate the deque's
+//       own candidate prev[j*] + base + slope*phi. Same comparisons, same
+//       tie-break, same expression: the same bits. Under Eq. 5 every
+//       user's cost is convex in phi (cost(1) - cost(0) = slope - idle <=
+//       slope), the DP row is then convex and so are its keys: every cap >= 2
+//       row of the perfbench ema-congested-n100 and faultsweep-n40 EMA slots
+//       is a valley row.
+//     - Deque rows. A row that fails the check — continuous-tail Eq. 4
+//       costs make the first unit dearer than the rest; floating-point
+//       near-ties — runs the monotone deque unchanged.
+//       EmaDpWorkspace::deque_rows counts them.
 //
 // The paper-literal triple loop is kept as `solve_min_cost_dp_reference`, the
 // differential oracle: tests/core/test_ema_simd.cpp checks cost equality on
 // randomized instances with forced exact ties and unit equality on tie-free
-// ones. Theorem 1's PE <= E* + B/V needs exactly this per-slot minimiser.
+// ones, and unit equality with a verbatim copy of the deque-only solver on
+// 22,300 instances, ties and non-finite costs included. Theorem 1's
+// PE <= E* + B/V needs exactly this per-slot minimiser.
 //
 // EmaFastScheduler in ema_fast.hpp solves the same slot problem with a
 // slope-greedy heuristic (ablation; see DESIGN.md).
@@ -110,6 +133,7 @@ struct EmaDpWorkspace {
   // --- telemetry-visible counters (reset by the owner if desired) --------
   std::int64_t separable_hits = 0; ///< solves answered by the separable path
   std::int64_t dp_solves = 0;      ///< solves that ran DP rows
+  std::int64_t deque_rows = 0;     ///< cap >= 2 DP rows that failed the valley test
   /// Never incremented; kept at 0 for perfbench/cpp/traced.cpp, which reads them.
   std::int64_t memo_hits = 0;
   std::int64_t resumed_rows = 0;

@@ -1,6 +1,7 @@
 #include "core/predictive_ema.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/error.hpp"
@@ -11,8 +12,11 @@ namespace jstream {
 
 void validate(const PredictiveEmaConfig& config) {
   require(config.horizon_slots >= 0, "prediction horizon must be non-negative");
+  require(std::isfinite(config.defer_weight), "defer weight must be finite");
   require(config.defer_weight >= 0.0, "defer weight must be non-negative");
+  require(std::isfinite(config.prefetch_weight), "prefetch weight must be finite");
   require(config.prefetch_weight >= 0.0, "prefetch weight must be non-negative");
+  require(std::isfinite(config.safety_margin_s), "safety margin must be finite");
   require(config.safety_margin_s >= 0.0, "safety margin must be non-negative");
 }
 

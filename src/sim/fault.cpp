@@ -89,6 +89,7 @@ void draw_windows(Rng rng, double rate_per_kslot, std::int64_t min_len,
 
 void require_window_range(double rate, std::int64_t min_len, std::int64_t max_len,
                           const char* family) {
+  require(std::isfinite(rate), std::string(family) + " fault rate must be finite");
   require(rate >= 0.0, std::string(family) + " fault rate must be non-negative");
   require(min_len >= 1 && min_len <= max_len,
           std::string(family) + " fault window length range is invalid");

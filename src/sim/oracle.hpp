@@ -1,6 +1,6 @@
-// Offline energy oracle: a lower-bound *estimate* for the minimum achievable
+// Offline energy oracle: an *upper bound* on the minimum achievable
 // transmission energy E* of a scenario (the quantity Theorem 1's bounds are
-// stated against).
+// stated against), from a feasible offline schedule.
 //
 // With full knowledge of every user's signal trajectory, delivering a byte in
 // slot n costs P(sig_i(n)) per KB, a byte of content at playback position t

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "baselines/factory.hpp"
 #include "common/error.hpp"
 #include "test_helpers.hpp"
 
@@ -66,6 +69,21 @@ TEST(Throttling, RespectsCapacity) {
 TEST(Throttling, RejectsFactorBelowOne) {
   EXPECT_THROW(ThrottlingScheduler(0.9), Error);
   EXPECT_NO_THROW(ThrottlingScheduler(1.0));
+}
+
+// A factor of +inf passes the >= 1 check and stalls every user; the factory
+// option must fail by name like the constructor argument.
+TEST(Throttling, RejectsNonFiniteFactorByName) {
+  for (const double bad : testing::kNonFinite) {
+    SchedulerOptions options;
+    options.throttling_rate_factor = bad;
+    for (const std::string& error :
+         {testing::error_message([&] { ThrottlingScheduler scheduler(bad); }),
+          testing::error_message([&] { (void)make_scheduler("throttling", options); })}) {
+      EXPECT_NE(error.find("throttling rate factor must be finite"), std::string::npos)
+          << "factor " << bad << ": got \"" << error << "\"";
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -208,6 +209,17 @@ TEST(EmaScheduler, RequiresResetBeforeUse) {
 TEST(EmaScheduler, RejectsNonPositiveV) {
   EXPECT_THROW(EmaScheduler(EmaConfig{0.0}), Error);
   EXPECT_THROW(EmaScheduler(EmaConfig{-1.0}), Error);
+}
+
+// V = +inf passes the positivity check and runs silently with nothing ever
+// sent; NaN fails it under the wrong name.
+TEST(EmaScheduler, RejectsNonFiniteVByName) {
+  for (const double bad : testing::kNonFinite) {
+    const std::string error =
+        testing::error_message([&] { EmaScheduler ema(EmaConfig{bad}); });
+    EXPECT_NE(error.find("V must be finite"), std::string::npos)
+        << "V = " << bad << ": got \"" << error << "\"";
+  }
 }
 
 }  // namespace

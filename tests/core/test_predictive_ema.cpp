@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -270,6 +271,26 @@ TEST(PredictiveEma, RejectsBadConfigAndMissingForecast) {
   // Population mismatch surfaces at reset.
   PredictiveEmaScheduler scheduler({}, config, constant_forecast(2, -80.0));
   EXPECT_THROW(scheduler.reset(3), Error);
+}
+
+TEST(PredictiveEma, ValidateRejectsNonFiniteWeightsByName) {
+  struct Field {
+    double PredictiveEmaConfig::*member;
+    const char* message;
+  };
+  const Field fields[] = {
+      {&PredictiveEmaConfig::defer_weight, "defer weight must be finite"},
+      {&PredictiveEmaConfig::prefetch_weight, "prefetch weight must be finite"},
+      {&PredictiveEmaConfig::safety_margin_s, "safety margin must be finite"}};
+  for (const Field& field : fields) {
+    for (const double bad : testing::kNonFinite) {
+      PredictiveEmaConfig config;
+      config.*field.member = bad;
+      const std::string error = testing::error_message([&] { validate(config); });
+      EXPECT_NE(error.find(field.message), std::string::npos)
+          << field.message << ", value " << bad << ": got \"" << error << "\"";
+    }
+  }
 }
 
 TEST(PredictiveEma, ScenarioFreeFactoryRefusesPredictive) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -101,6 +102,26 @@ TEST(FaultConfig, ValidateRejectsBadRanges) {
   config = {};
   config.outage_dbm = std::numeric_limits<double>::infinity();
   EXPECT_THROW(validate(config), Error);
+}
+
+TEST(FaultConfig, ValidateRejectsNonFiniteRatesByName) {
+  struct Field {
+    double FaultConfig::*member;
+    const char* message;
+  };
+  const Field fields[] = {
+      {&FaultConfig::outage_rate_per_kslot, "outage fault rate must be finite"},
+      {&FaultConfig::capacity_rate_per_kslot, "capacity fault rate must be finite"},
+      {&FaultConfig::staleness_rate_per_kslot, "staleness fault rate must be finite"}};
+  for (const Field& field : fields) {
+    for (const double bad : testing::kNonFinite) {
+      FaultConfig config;
+      config.*field.member = bad;
+      const std::string error = testing::error_message([&] { validate(config); });
+      EXPECT_NE(error.find(field.message), std::string::npos)
+          << field.message << ", value " << bad << ": got \"" << error << "\"";
+    }
+  }
 }
 
 TEST(FaultFingerprint, ActiveConfigsAreNonZeroAndDistinct) {

@@ -5,9 +5,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "gateway/info_collector.hpp"
 #include "gateway/scheduler.hpp"
 #include "gateway/user_endpoint.hpp"
@@ -104,5 +107,21 @@ inline Allocation decide(Scheduler& scheduler, const SlotContext& ctx) {
   scheduler.allocate_into(ctx, out);
   return out;
 }
+
+/// The message of the jstream::Error that `fn` throws, or "" when it returns.
+template <typename Fn>
+std::string error_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+/// The two non-finite values a range check alone misses or misnames: +inf
+/// passes a lower bound, and NaN fails it under the range check's message.
+inline constexpr double kNonFinite[] = {std::numeric_limits<double>::infinity(),
+                                        std::numeric_limits<double>::quiet_NaN()};
 
 }  // namespace jstream::testing
