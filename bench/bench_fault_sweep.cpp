@@ -20,58 +20,12 @@ using namespace jstream::bench;
 
 namespace {
 
-const char* kSchedulers[] = {"default", "throttling", "onoff",
-                             "salsa",   "estreamer",  "rtma", "ema"};
-
-struct FaultLevel {
-  const char* name;
-  FaultConfig faults;
-};
-
-std::vector<FaultLevel> make_levels() {
-  std::vector<FaultLevel> levels;
-  levels.push_back({"none", {}});
-
-  FaultConfig low;
-  low.outage_rate_per_kslot = 2.0;
-  low.outage_min_slots = 5;
-  low.outage_max_slots = 20;
-  low.staleness_rate_per_kslot = 4.0;
-  low.departure_fraction = 0.10;
-  low.capacity_rate_per_kslot = 1.0;
-  low.capacity_scale = 0.8;
-  levels.push_back({"low", low});
-
-  FaultConfig medium;
-  medium.outage_rate_per_kslot = 5.0;
-  medium.outage_min_slots = 5;
-  medium.outage_max_slots = 30;
-  medium.staleness_rate_per_kslot = 10.0;
-  medium.staleness_max_slots = 30;
-  medium.departure_fraction = 0.25;
-  medium.capacity_rate_per_kslot = 2.0;
-  medium.capacity_scale = 0.5;
-  levels.push_back({"medium", medium});
-
-  FaultConfig high;
-  high.outage_rate_per_kslot = 12.0;
-  high.outage_min_slots = 10;
-  high.outage_max_slots = 40;
-  high.staleness_rate_per_kslot = 25.0;
-  high.staleness_min_slots = 5;
-  high.staleness_max_slots = 40;
-  high.departure_fraction = 0.5;
-  high.capacity_rate_per_kslot = 4.0;
-  high.capacity_scale = 0.3;
-  levels.push_back({"high", high});
-  return levels;
-}
-
 int run(int argc, const char* const* argv) {
   Cli cli = make_cli("bench_fault_sweep",
                      "Robustness: PC/PE vs degraded-cell fault intensity");
   const CommonArgs args = parse_common(cli, argc, argv);
-  const std::vector<FaultLevel> levels = make_levels();
+  const std::vector<FaultLevel>& levels = fault_sweep_levels();
+  const std::vector<std::string>& schedulers = fault_sweep_schedulers();
 
   // RTMA's Eq. 12 budget comes from the benign default-strategy reference,
   // as in the paper; the same options then face every fault level.
@@ -94,8 +48,8 @@ int run(int argc, const char* const* argv) {
                   std::to_string(schedule.total_stale_slots()),
                   std::to_string(schedule.departures()),
                   std::to_string(schedule.capacity_windows().size())});
-    for (const char* name : kSchedulers) {
-      ExperimentSpec spec{std::string(level.name) + "/" + name, name, scenario, {}};
+    for (const std::string& name : schedulers) {
+      ExperimentSpec spec{level.name + "/" + name, name, scenario, {}};
       if (spec.scheduler == "rtma") spec.options = rtma_options;
       specs.push_back(std::move(spec));
     }
@@ -105,7 +59,7 @@ int run(int argc, const char* const* argv) {
 
   // keep_series: mean_fairness needs the per-slot Jain samples.
   const std::vector<RunMetrics> results = run_grid(args, specs, true);
-  const std::size_t stride = std::size(kSchedulers);
+  const std::size_t stride = schedulers.size();
 
   std::vector<std::string> header{"scheduler"};
   for (const FaultLevel& level : levels) header.emplace_back(level.name);
@@ -123,15 +77,15 @@ int run(int argc, const char* const* argv) {
       pe_row.push_back(m.avg_energy_per_user_slot_mj());
       pc_row.push_back(1000.0 * m.avg_rebuffer_per_user_slot_s());
       done_row.push_back(m.completion_rate());
-      csv_rows.push_back({levels[level].name, kSchedulers[s],
+      csv_rows.push_back({levels[level].name, schedulers[s],
                           format_double(m.avg_energy_per_user_slot_mj(), 4),
                           format_double(1000.0 * m.avg_rebuffer_per_user_slot_s(), 4),
                           format_double(m.mean_fairness(), 4),
                           format_double(m.completion_rate(), 4)});
     }
-    energy.row(kSchedulers[s], pe_row, 1);
-    rebuffer.row(kSchedulers[s], pc_row, 1);
-    completion.row(kSchedulers[s], done_row, 3);
+    energy.row(schedulers[s], pe_row, 1);
+    rebuffer.row(schedulers[s], pc_row, 1);
+    completion.row(schedulers[s], done_row, 3);
   }
   energy.print();
   std::printf("\n");

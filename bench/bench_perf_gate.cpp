@@ -1,6 +1,6 @@
 // Perf regression gate for the slot engine (see docs/PERFORMANCE.md).
 //
-// Eight measurement families, all on pinned deterministic workloads:
+// Nine measurement families, all on pinned deterministic workloads:
 //
 //  1. Solver microbench: the production EMA solver against the paper-literal
 //     O(N*M*phi_max) reference on the same instances, timed in alternating
@@ -13,10 +13,14 @@
 //     with a 95% Student-t confidence half-width, both the per-run
 //     SignalModel path and the campaign engine's cached-trace path), the
 //     scheduler decision alone (ns/solve), and heap allocations per slot for
-//     N in {40, 200, 1000} x {default, rtma, ema-fast, ema}. Two gates live
-//     here: exact EMA at N = 1000 must run under 1 ms/slot, and every row
-//     must allocate nothing in its measured window. This binary replaces the
-//     global operator new to count allocations.
+//     N in {40, 200, 1000} x {default, rtma, ema-fast, ema}, plus exact EMA
+//     at N = 40 under the fault sweep's "high" level (the fault hook's
+//     degrade and reconcile on the slot path). The N = 200 rows run in
+//     alternating blocks and report the block median with a distribution-
+//     free 95% interval. Two gates live here: exact EMA at N = 1000 must run
+//     under 1 ms/slot, and every row must allocate nothing in its measured
+//     window. This binary replaces the global operator new to count
+//     allocations.
 //  3. Campaign gate: a 7-scheduler x 8-seed grid at N = 200 over the full
 //     10000-slot horizon, run once with per-cell trace regeneration and once
 //     through the shared trace cache. Cached results must be bit-identical,
@@ -47,8 +51,15 @@
 //     pool) and by the serial public-API walk, in alternating blocks. Every
 //     parallel result must equal the serial one byte for byte, enforced at
 //     every scale; the wall times and their ratio are reported, not gated.
+//  9. Fault campaign: the fault sweep's 7 schedulers x 3 faulting levels x
+//     2 seeds at N = 40, through run_campaign (one shared fault schedule per
+//     key) and through run_experiment with no schedule (one draw per cell),
+//     in alternating blocks on 4 threads over one warm trace cache. Both
+//     sides must digest equally and the shared side must draw exactly one
+//     schedule per key, enforced at every scale; wall times are reported,
+//     not gated.
 //
-// Results land in BENCH_PR21.json (override with --out <path>); the JSON
+// Results land in BENCH_PR22.json (override with --out <path>); the JSON
 // schema is documented in docs/PERFORMANCE.md. REPRO_SLOTS in the
 // environment shrinks every loop for smoke runs. The paper-invariant
 // validator must stay at its compiled-out-of-the-hot-path default here: the
@@ -66,11 +77,13 @@
 #include <fstream>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
 
 #include "baselines/factory.hpp"
+#include "bench_util.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -80,6 +93,7 @@
 #include "net/base_station.hpp"
 #include "session/service.hpp"
 #include "sim/campaign.hpp"
+#include "sim/fault.hpp"
 #include "sim/metrics.hpp"
 #include "sim/scenario.hpp"
 #include "sim/trace_cache.hpp"
@@ -286,9 +300,13 @@ SolverResult bench_solver(std::size_t users, std::int64_t capacity,
 struct SlotCase {
   std::string scheduler;
   std::size_t users = 0;
+  std::string faults = "none";  ///< fault level name ("none" = benign cell)
   std::int64_t measured_slots = 0;
-  double ns_per_slot = 0.0;
-  double ns_per_slot_ci95 = 0.0;    ///< Student-t 95% half-width of the mean
+  std::int64_t blocks = 0;          ///< alternating blocks; 0 = one window
+  double ns_per_slot = 0.0;         ///< mean, or the block median when blocks > 0
+  double ns_per_slot_ci95 = 0.0;    ///< 95% half-width (see ci95_lo / ci95_hi)
+  double ns_per_slot_ci95_lo = 0.0;
+  double ns_per_slot_ci95_hi = 0.0;
   double ns_per_slot_traced = 0.0;  ///< same slots against the cached substrate
   double ns_per_solve = 0.0;
   double allocs_per_slot = 0.0;
@@ -313,76 +331,175 @@ double ci95_halfwidth(const Summary& s) {
          std::sqrt(as_double(s.count));
 }
 
+/// Distribution-free 95% interval for the median of `values`: the order
+/// statistics [x(k), x(n+1-k)] with the largest k whose two binomial(n, 1/2)
+/// tails sum to at most 5% (k = 3 of 12: 96.1% coverage). Under 6 values no
+/// k qualifies and the interval is the whole range.
+std::pair<double, double> median_ci95(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  std::size_t k = 1;
+  double below = std::ldexp(1.0, -static_cast<int>(n));  // P(B <= 0)
+  double choose = 1.0;                                     // C(n, j)
+  for (std::size_t j = 1; 2 * (j + 1) <= n; ++j) {
+    choose = choose * as_double(n - j + 1) / as_double(j);
+    below += choose * std::ldexp(1.0, -static_cast<int>(n));  // P(B <= j)
+    if (2.0 * below > 0.05) break;
+    k = j + 1;
+  }
+  return {values[k - 1], values[n - k]};
+}
+
+/// One slot-path gateway: the paper scenario at `users` with capacity
+/// 500 KB/s per user, exact-EMA V = 0.05, and (when `faults` is active) the
+/// fault hook and departure stamps attached as Simulator::run attaches them.
+struct SlotGateway {
+  ScenarioConfig scenario;
+  std::vector<UserEndpoint> endpoints;
+  BaseStation bs;
+  Framework framework;
+  std::unique_ptr<FaultInjector> injector;
+  std::int64_t slot = 0;
+
+  static ScenarioConfig make_scenario(std::size_t users, const FaultConfig& faults) {
+    ScenarioConfig config = paper_scenario(users, 42);
+    config.capacity_kbps = 500.0 * as_double(users);
+    config.faults = faults;
+    return config;
+  }
+
+  static SchedulerOptions options() {
+    SchedulerOptions options;
+    options.ema.v_weight = 0.05;
+    return options;
+  }
+
+  SlotGateway(const std::string& scheduler, std::size_t users, const FaultConfig& faults,
+              const SignalTraceSet* trace = nullptr)
+      : scenario(make_scenario(users, faults)),
+        endpoints(build_endpoints(scenario)),
+        bs(capacity_profile(scenario)),
+        framework(InfoCollector(scenario.slot, scenario.link, scenario.radio),
+                  make_scheduler(scheduler, options()), SchedulingMode::kEnergyMinimization,
+                  users) {
+    if (trace != nullptr) {
+      for (std::size_t i = 0; i < endpoints.size(); ++i) endpoints[i].attach_trace(trace, i);
+    }
+    if (scenario.faults.any()) {
+      injector = std::make_unique<FaultInjector>(
+          std::make_shared<const FaultSchedule>(make_fault_schedule(scenario)));
+      for (std::size_t i = 0; i < endpoints.size(); ++i) {
+        endpoints[i].depart_at(injector->schedule().departure_slot(i));
+      }
+      framework.attach_fault_hook(injector.get());
+    }
+  }
+
+  const SlotOutcome& run_slot() { return framework.run_slot(slot++, endpoints, bs); }
+};
+
+/// Fills the rows' traced time (the same slots against the campaign engine's
+/// cached substrate: fresh endpoints reading signal/throughput/energy out of
+/// the precomputed slot-major matrices, trace horizon trimmed to the
+/// measured window) and the decision cost alone on `measured`'s warm
+/// steady-state snapshot.
+void measure_traced_and_solve(SlotCase& result, SlotGateway& measured, std::int64_t warmup,
+                              std::int64_t solve_iters) {
+  ScenarioConfig traced_scenario = measured.scenario;
+  traced_scenario.max_slots = warmup + result.measured_slots;
+  const std::shared_ptr<const SignalTraceSet> trace =
+      generate_signal_trace_set(traced_scenario);
+  SlotGateway traced(result.scheduler, result.users, measured.scenario.faults, trace.get());
+  for (std::int64_t slot = 0; slot < warmup; ++slot) traced.run_slot();
+  result.ns_per_slot_traced =
+      time_ns_per_iter(result.measured_slots, [&] { traced.run_slot(); });
+
+  Allocation decision;
+  Scheduler& scheduler = measured.framework.scheduler();
+  const SlotContext& ctx = measured.framework.last_context();
+  scheduler.allocate_into(ctx, decision);
+  result.ns_per_solve =
+      time_ns_per_iter(solve_iters, [&] { scheduler.allocate_into(ctx, decision); });
+}
+
+/// One row measured as one window of `measured` consecutive slots.
 SlotCase bench_slot_path(const std::string& scheduler_name, std::size_t users,
                          std::int64_t warmup, std::int64_t measured,
-                         std::int64_t solve_iters) {
+                         std::int64_t solve_iters,
+                         const bench::FaultLevel* level = nullptr) {
   SlotCase result;
   result.scheduler = scheduler_name;
   result.users = users;
+  if (level != nullptr) result.faults = level->name;
   result.measured_slots = measured;
 
-  ScenarioConfig scenario = paper_scenario(users, 42);
-  scenario.capacity_kbps = 500.0 * as_double(users);
-  std::vector<UserEndpoint> endpoints = build_endpoints(scenario);
-  const BaseStation bs(capacity_profile(scenario));
-  SchedulerOptions options;
-  options.ema.v_weight = 0.05;
-  Framework framework(InfoCollector(scenario.slot, scenario.link, scenario.radio),
-                      make_scheduler(scheduler_name, options),
-                      SchedulingMode::kEnergyMinimization, users);
-
-  for (std::int64_t slot = 0; slot < warmup; ++slot) {
-    (void)framework.run_slot(slot, endpoints, bs);
-  }
+  SlotGateway gateway(scheduler_name, users, level != nullptr ? level->faults : FaultConfig{});
+  for (std::int64_t slot = 0; slot < warmup; ++slot) gateway.run_slot();
 
   // Per-slot samples (pre-reserved so the sampling itself stays off the
   // allocation counter), then mean + 95% CI of the mean.
   std::vector<double> samples;
   samples.reserve(checked_size(measured));
   const std::uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
-  std::int64_t slot_cursor = warmup;
-  sample_ns(measured, samples, [&] {
-    (void)framework.run_slot(slot_cursor, endpoints, bs);
-    ++slot_cursor;
-  });
+  sample_ns(measured, samples, [&] { gateway.run_slot(); });
   const std::uint64_t allocs_after = g_alloc_count.load(std::memory_order_relaxed);
   const Summary summary = summarize(samples);
   result.ns_per_slot = summary.mean;
   result.ns_per_slot_ci95 = ci95_halfwidth(summary);
-  result.allocs_per_slot = as_double(allocs_after - allocs_before) /
-                           as_double(measured);
-
-  // Same slots against the campaign engine's cached substrate: fresh
-  // endpoints reading signal/throughput/energy out of the precomputed
-  // slot-major matrices instead of evaluating the models per slot. The trace
-  // horizon is trimmed to the measured window so generation stays cheap.
-  ScenarioConfig traced_scenario = scenario;
-  traced_scenario.max_slots = warmup + measured;
-  const std::shared_ptr<const SignalTraceSet> trace =
-      generate_signal_trace_set(traced_scenario);
-  std::vector<UserEndpoint> traced_endpoints = build_endpoints(scenario);
-  for (std::size_t i = 0; i < traced_endpoints.size(); ++i) {
-    traced_endpoints[i].attach_trace(trace.get(), i);
-  }
-  Framework traced(InfoCollector(scenario.slot, scenario.link, scenario.radio),
-                   make_scheduler(scheduler_name, options),
-                   SchedulingMode::kEnergyMinimization, users);
-  for (std::int64_t slot = 0; slot < warmup; ++slot) {
-    (void)traced.run_slot(slot, traced_endpoints, bs);
-  }
-  result.ns_per_slot_traced = time_ns_per_iter(measured, [&, slot = warmup]() mutable {
-    (void)traced.run_slot(slot, traced_endpoints, bs);
-    ++slot;
-  });
-
-  // Decision cost alone, on the warm steady-state snapshot.
-  Allocation decision;
-  Scheduler& scheduler = framework.scheduler();
-  const SlotContext& ctx = framework.last_context();
-  scheduler.allocate_into(ctx, decision);
-  result.ns_per_solve =
-      time_ns_per_iter(solve_iters, [&] { scheduler.allocate_into(ctx, decision); });
+  result.ns_per_slot_ci95_lo = summary.mean - result.ns_per_slot_ci95;
+  result.ns_per_slot_ci95_hi = summary.mean + result.ns_per_slot_ci95;
+  result.allocs_per_slot = as_double(allocs_after - allocs_before) / as_double(measured);
+  measure_traced_and_solve(result, gateway, warmup, solve_iters);
   return result;
+}
+
+/// One row per scheduler at `users`, measured in `blocks` alternating blocks
+/// of `slots_per_block` slots, as the telemetry row does: block b runs the
+/// schedulers in an order rotated by b, so a host speed-regime switch lands
+/// on every row. Each row reports the median of its block means with the
+/// distribution-free 95% interval of that median.
+std::vector<SlotCase> bench_slot_path_blocks(const std::vector<std::string>& schedulers,
+                                             std::size_t users, std::int64_t warmup,
+                                             std::int64_t blocks,
+                                             std::int64_t slots_per_block,
+                                             std::int64_t solve_iters) {
+  std::vector<std::unique_ptr<SlotGateway>> gateways;
+  for (const std::string& name : schedulers) {
+    gateways.push_back(std::make_unique<SlotGateway>(name, users, FaultConfig{}));
+    for (std::int64_t slot = 0; slot < warmup; ++slot) gateways.back()->run_slot();
+  }
+  const std::size_t rows = schedulers.size();
+  std::vector<std::vector<double>> block_ns(rows);
+  std::vector<std::uint64_t> allocs(rows, 0);
+  for (std::vector<double>& row : block_ns) row.reserve(checked_size(blocks));
+  for (std::int64_t block = 0; block < blocks; ++block) {
+    for (std::size_t k = 0; k < rows; ++k) {
+      const std::size_t row = (checked_size(block) + k) % rows;
+      SlotGateway& gateway = *gateways[row];
+      const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+      const double ns = time_ns(slots_per_block, [&] { gateway.run_slot(); });
+      allocs[row] += g_alloc_count.load(std::memory_order_relaxed) - before;
+      block_ns[row].push_back(ns / as_double(slots_per_block));
+    }
+  }
+
+  std::vector<SlotCase> results;
+  for (std::size_t row = 0; row < rows; ++row) {
+    SlotCase result;
+    result.scheduler = schedulers[row];
+    result.users = users;
+    result.measured_slots = blocks * slots_per_block;
+    result.blocks = blocks;
+    result.ns_per_slot = percentile(block_ns[row], 0.5);
+    const auto [lo, hi] = median_ci95(block_ns[row]);
+    result.ns_per_slot_ci95_lo = lo;
+    result.ns_per_slot_ci95_hi = hi;
+    result.ns_per_slot_ci95 = std::max(result.ns_per_slot - lo, hi - result.ns_per_slot);
+    result.allocs_per_slot = as_double(allocs[row]) / as_double(result.measured_slots);
+    measure_traced_and_solve(result, *gateways[row], warmup, solve_iters);
+    results.push_back(std::move(result));
+  }
+  return results;
 }
 
 // ---------------------------------------------------------------------------
@@ -508,6 +625,119 @@ PoolScalingResult bench_pool_scaling(std::int64_t horizon) {
   result.speedup =
       result.pool_wall_s > 0.0 ? result.one_thread_wall_s / result.pool_wall_s : 0.0;
   result.bit_identical = result.one_thread_digest == result.pool_digest;
+  return result;
+}
+
+// ---------------------------------------------------------------------------
+// Fault campaign: shared fault schedules vs per-cell draws.
+// ---------------------------------------------------------------------------
+
+struct FaultCampaignResult {
+  std::size_t users = 0;
+  std::size_t schedulers = 0;
+  std::size_t levels = 0;
+  std::size_t seeds = 0;
+  std::size_t cells = 0;
+  std::int64_t horizon_slots = 0;
+  std::size_t threads = 0;
+  std::int64_t blocks = 0;
+  std::size_t schedule_keys = 0;       ///< distinct (seed, users, horizon, faults)
+  bool draws_match_keys = true;        ///< every shared run drew schedule_keys
+  std::int64_t shared_draws = 0;       ///< schedules drawn by one shared run
+  std::int64_t per_cell_draws = 0;     ///< schedules drawn by one per-cell run
+  double shared_wall_s = 0.0;          ///< mean per run
+  double per_cell_wall_s = 0.0;        ///< mean per run
+  double speedup = 0.0;
+  std::uint64_t shared_digest = 0;
+  std::uint64_t per_cell_digest = 0;
+  bool blocks_agree = true;            ///< every later block matched the first
+
+  [[nodiscard]] bool pass() const noexcept {
+    return shared_digest == per_cell_digest && blocks_agree && draws_match_keys;
+  }
+};
+
+FaultCampaignResult bench_fault_campaign(std::int64_t horizon) {
+  // bench_fault_sweep's seven schedulers under its three faulting levels at
+  // N = 40, two seeds. One side is run_campaign, which draws one schedule
+  // per key; the other runs the same cells on the same executor, pool and
+  // warmed trace cache through run_experiment with no schedule, so every
+  // cell draws its own. Alternating blocks flip which side goes first.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::int64_t kBlocks = 4;
+  constexpr std::size_t kSeeds = 2;
+  std::vector<CampaignSeries> series;
+  for (const std::string& name : bench::fault_sweep_schedulers()) {
+    series.push_back({name, name, {}});
+  }
+  FaultCampaignResult result;
+  std::vector<ExperimentSpec> specs;
+  for (const bench::FaultLevel& level : bench::fault_sweep_levels()) {
+    if (!level.faults.any()) continue;
+    ++result.levels;
+    ScenarioConfig base = paper_scenario(40, 42);
+    base.max_slots = horizon;
+    base.faults = level.faults;
+    for (ExperimentSpec& spec : make_campaign_grid(base, series, kSeeds)) {
+      spec.label = level.name + "/" + spec.label;
+      specs.push_back(std::move(spec));
+    }
+  }
+
+  result.users = 40;
+  result.schedulers = series.size();
+  result.seeds = kSeeds;
+  result.cells = specs.size();
+  result.horizon_slots = horizon;
+  result.threads = kThreads;
+  result.blocks = kBlocks;
+  result.schedule_keys = result.levels * kSeeds;
+
+  TraceCache cache;
+  CampaignOptions options;
+  options.threads = kThreads;
+  options.cache = &cache;
+  (void)run_campaign(specs, options);  // warms the cache: 6 traces
+  telemetry::set_enabled(true);        // fault.schedules counts the draws
+  const telemetry::Counter& draws = telemetry::global_registry().counter("fault.schedules");
+  const auto timed = [&](bool shared) {
+    const std::int64_t draws_before = draws.value();
+    const auto start = Clock::now();
+    const std::vector<RunMetrics> results =
+        shared ? run_campaign(specs, options)
+               : run_campaign_cells(
+                     specs.size(), options,
+                     [&](std::size_t i) { return CampaignCell{&specs[i].scenario, 0}; },
+                     [&](std::size_t i, std::shared_ptr<const SignalTraceSet> trace) {
+                       return run_experiment(specs[i], /*keep_series=*/false,
+                                             std::move(trace));
+                     });
+    (shared ? result.shared_wall_s : result.per_cell_wall_s) += seconds_since(start);
+    const std::int64_t drawn = draws.value() - draws_before;
+    if (shared) {
+      result.shared_draws = drawn;
+      if (drawn != checked_index(result.schedule_keys)) result.draws_match_keys = false;
+    } else {
+      result.per_cell_draws = drawn;
+    }
+    return metrics_digest(std::span<const RunMetrics>(results));
+  };
+  for (std::int64_t block = 0; block < kBlocks; ++block) {
+    const bool shared_first = block % 2 == 0;
+    std::uint64_t digest[2] = {0, 0};  // [per-cell draws, shared]
+    digest[shared_first ? 1 : 0] = timed(shared_first);
+    digest[shared_first ? 0 : 1] = timed(!shared_first);
+    if (block == 0) {
+      result.per_cell_digest = digest[0];
+      result.shared_digest = digest[1];
+    } else if (digest[0] != result.per_cell_digest || digest[1] != result.shared_digest) {
+      result.blocks_agree = false;
+    }
+  }
+  result.shared_wall_s /= as_double(kBlocks);
+  result.per_cell_wall_s /= as_double(kBlocks);
+  result.speedup =
+      result.shared_wall_s > 0.0 ? result.per_cell_wall_s / result.shared_wall_s : 0.0;
   return result;
 }
 
@@ -764,37 +994,20 @@ struct TelemetryOnAtExit {
   ~TelemetryOnAtExit() { telemetry::set_enabled(true); }
 };
 
-/// One exact-EMA gateway at the slot-path matrix's N = 1000 setting, with
-/// its own endpoints and a metrics collector to digest what it did.
+/// An exact-EMA slot-path gateway with a metrics collector to digest what it
+/// did.
 struct EmaGateway {
-  ScenarioConfig scenario;
-  std::vector<UserEndpoint> endpoints;
-  BaseStation bs;
-  Framework framework;
+  SlotGateway gateway;
   MetricsCollector metrics;
-  std::int64_t slot = 0;
 
-  explicit EmaGateway(const ScenarioConfig& config)
-      : scenario(config),
-        endpoints(build_endpoints(config)),
-        bs(capacity_profile(config)),
-        framework(InfoCollector(config.slot, config.link, config.radio),
-                  make_scheduler("ema", ema_options()),
-                  SchedulingMode::kEnergyMinimization, config.users),
-        metrics(config.users, /*keep_series=*/false) {}
-
-  static SchedulerOptions ema_options() {
-    SchedulerOptions options;
-    options.ema.v_weight = 0.05;
-    return options;
-  }
+  explicit EmaGateway(std::size_t users)
+      : gateway("ema", users, FaultConfig{}), metrics(users, /*keep_series=*/false) {}
 
   /// Runs `slots` slots and returns their wall time in ns.
   double run(std::int64_t slots) {
     return time_ns(slots, [&] {
-      const SlotOutcome& outcome = framework.run_slot(slot, endpoints, bs);
-      metrics.record_slot(framework.last_context(), outcome);
-      ++slot;
+      const SlotOutcome& outcome = gateway.run_slot();
+      metrics.record_slot(gateway.framework.last_context(), outcome);
     });
   }
 };
@@ -810,10 +1023,8 @@ TelemetryCostResult bench_telemetry_cost(std::int64_t horizon, std::int64_t warm
   // one side leaves behind lands on both sides.
   constexpr std::size_t kUsers = 1000;
   constexpr std::int64_t kSlotBlocks = 8;
-  ScenarioConfig scenario = paper_scenario(kUsers, 42);
-  scenario.capacity_kbps = 500.0 * as_double(kUsers);
-  EmaGateway off(scenario);
-  EmaGateway on(scenario);
+  EmaGateway off(kUsers);
+  EmaGateway on(kUsers);
   telemetry::set_enabled(false);
   (void)off.run(warmup);
   telemetry::set_enabled(true);
@@ -879,7 +1090,7 @@ TelemetryCostResult bench_telemetry_cost(std::int64_t horizon, std::int64_t warm
 // ---------------------------------------------------------------------------
 
 int run(int argc, const char* const* argv) {
-  std::string out_path = "BENCH_PR21.json";
+  std::string out_path = "BENCH_PR22.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--out" && i + 1 < argc) {
@@ -923,27 +1134,37 @@ int run(int argc, const char* const* argv) {
 
   std::printf("slot-path matrix (paper scenario, capacity 500 KB/s per user)\n");
   std::vector<SlotCase> slot_cases;
-  const std::vector<std::size_t> populations{40, 200, 1000};
   const std::vector<std::string> schedulers{"default", "rtma", "ema-fast", "ema"};
+  const std::int64_t warmup = clamp(20);
+  // Measured windows sized so every row — N = 1000 included — reports a
+  // meaningful 95% CI while the whole matrix stays minutes. The N = 200 rows
+  // run in 12 alternating blocks of 40 slots: a single 120-slot window per
+  // row read ema-fast 156 +- 168 us/slot, too wide to order the schedulers.
+  for (const std::string& name : schedulers) {
+    slot_cases.push_back(bench_slot_path(name, 40, warmup, clamp(200), clamp(50)));
+  }
+  for (SlotCase& row : bench_slot_path_blocks(schedulers, 200, warmup, 12, clamp(40),
+                                              clamp(50))) {
+    slot_cases.push_back(std::move(row));
+  }
+  for (const std::string& name : schedulers) {
+    slot_cases.push_back(bench_slot_path(name, 1000, warmup, clamp(160), clamp(20)));
+  }
+  // The fault hook's degrade and reconcile on the slot path, so the
+  // allocation gate covers the cursor walk.
+  slot_cases.push_back(bench_slot_path("ema", 40, warmup, clamp(200), clamp(50),
+                                       &bench::fault_sweep_levels().back()));
   double ema_1000_ns_per_slot = -1.0;
   double max_allocs_per_slot = 0.0;
-  for (const std::size_t users : populations) {
-    // Measured windows sized so every row — N = 1000 included — reports a
-    // meaningful 95% CI while the whole matrix stays minutes.
-    const std::int64_t measured = clamp(users == 40 ? 200 : users == 200 ? 120 : 160);
-    const std::int64_t warmup = clamp(20);
-    const std::int64_t solve_iters = clamp(users == 1000 ? 20 : 50);
-    for (const std::string& name : schedulers) {
-      slot_cases.push_back(bench_slot_path(name, users, warmup, measured, solve_iters));
-      const SlotCase& c = slot_cases.back();
-      if (name == "ema" && users == 1000) ema_1000_ns_per_slot = c.ns_per_slot;
-      max_allocs_per_slot = std::max(max_allocs_per_slot, c.allocs_per_slot);
-      std::printf(
-          "  %-9s N=%-4zu %11.0f +-%8.0f ns/slot %11.0f ns/slot(traced) %11.0f "
-          "ns/solve %7.2f allocs/slot\n",
-          c.scheduler.c_str(), c.users, c.ns_per_slot, c.ns_per_slot_ci95,
-          c.ns_per_slot_traced, c.ns_per_solve, c.allocs_per_slot);
-    }
+  for (const SlotCase& c : slot_cases) {
+    if (c.scheduler == "ema" && c.users == 1000) ema_1000_ns_per_slot = c.ns_per_slot;
+    max_allocs_per_slot = std::max(max_allocs_per_slot, c.allocs_per_slot);
+    std::printf(
+        "  %-9s N=%-4zu %-6s %11.0f +-%8.0f ns/slot%s %11.0f ns/slot(traced) %11.0f "
+        "ns/solve %7.2f allocs/slot\n",
+        c.scheduler.c_str(), c.users, c.faults.c_str(), c.ns_per_slot, c.ns_per_slot_ci95,
+        c.blocks > 0 ? " (block median)" : "", c.ns_per_slot_traced, c.ns_per_solve,
+        c.allocs_per_slot);
   }
 
   // Tentpole gate: exact EMA must fit the paper's 1 s slot with three orders
@@ -984,6 +1205,23 @@ int run(int argc, const char* const* argv) {
       static_cast<unsigned long long>(pool.pool_digest),
       pool.bit_identical ? "== 1 thread" : "!= 1 thread (MISMATCH)");
   const bool pool_pass = pool.bit_identical;
+
+  // Fault campaign: shared schedules must digest equal to per-cell draws and
+  // draw exactly one schedule per key (both enforced at every scale); the
+  // wall times are informational.
+  std::printf("fault campaign (7 schedulers x 3 fault levels x 2 seeds, N=40, 4 threads)\n");
+  const FaultCampaignResult fault_campaign = bench_fault_campaign(clamp(10000));
+  std::printf(
+      "  per-cell draws %7.3f s (%lld schedules)   shared %7.3f s (%lld schedules, %zu "
+      "keys)   speedup %5.2fx   %s\n",
+      fault_campaign.per_cell_wall_s, static_cast<long long>(fault_campaign.per_cell_draws),
+      fault_campaign.shared_wall_s, static_cast<long long>(fault_campaign.shared_draws),
+      fault_campaign.schedule_keys, fault_campaign.speedup,
+      fault_campaign.shared_digest == fault_campaign.per_cell_digest &&
+              fault_campaign.blocks_agree
+          ? "digest shared == per-cell"
+          : "digest shared != per-cell (MISMATCH)");
+  const bool fault_campaign_pass = fault_campaign.pass();
 
   // Disk-warm gate: a fresh cache over a warm store must promote every miss
   // (enforced always) and beat cold regeneration >= 3x at the full horizon.
@@ -1070,9 +1308,13 @@ int run(int argc, const char* const* argv) {
 
   const auto emit_slot_case = [](std::ofstream& json, const SlotCase& c) {
     json << "    {\"scheduler\": \"" << c.scheduler << "\", \"users\": " << c.users
+         << ", \"faults\": \"" << c.faults << "\""
          << ", \"measured_slots\": " << c.measured_slots
+         << ", \"blocks\": " << c.blocks
          << ", \"ns_per_slot\": " << c.ns_per_slot
          << ", \"ns_per_slot_ci95\": " << c.ns_per_slot_ci95
+         << ", \"ns_per_slot_ci95_lo\": " << c.ns_per_slot_ci95_lo
+         << ", \"ns_per_slot_ci95_hi\": " << c.ns_per_slot_ci95_hi
          << ", \"ns_per_slot_traced\": " << c.ns_per_slot_traced
          << ", \"ns_per_solve\": " << c.ns_per_solve
          << ", \"allocs_per_slot\": " << c.allocs_per_slot << "}";
@@ -1081,7 +1323,7 @@ int run(int argc, const char* const* argv) {
   std::ofstream json(out_path);
   require(json.good(), "cannot open perf-gate output file");
   json << "{\n";
-  json << "  \"schema\": \"jstream-perf-gate-v9\",\n";
+  json << "  \"schema\": \"jstream-perf-gate-v10\",\n";
   json << "  \"workload\": \"paper_scenario(users, seed=42), capacity 500 KB/s per user\",\n";
   json << "  \"gate\": {\"metric\": \"solver[0].speedup_vs_reference\", \"min_speedup\": "
        << kMinSpeedup << ", \"pass\": " << (solver_gate_pass ? "true" : "false") << "},\n";
@@ -1110,6 +1352,28 @@ int run(int argc, const char* const* argv) {
        << "\", \"pool_digest\": \"" << hex_digest(pool.pool_digest)
        << "\", \"enforced\": true, \"pass\": "
        << (pool_pass ? "true" : "false") << "},\n";
+  json << "  \"fault_campaign_gate\": {\"metric\": \"fault_campaign.shared_digest == "
+       << "fault_campaign.per_cell_digest && fault_campaign.shared_draws == "
+       << "fault_campaign.schedule_keys\", "
+       << "\"users\": " << fault_campaign.users
+       << ", \"schedulers\": " << fault_campaign.schedulers
+       << ", \"fault_levels\": " << fault_campaign.levels
+       << ", \"seeds\": " << fault_campaign.seeds
+       << ", \"cells\": " << fault_campaign.cells
+       << ", \"horizon_slots\": " << fault_campaign.horizon_slots
+       << ", \"threads\": " << fault_campaign.threads
+       << ", \"blocks\": " << fault_campaign.blocks
+       << ", \"schedule_keys\": " << fault_campaign.schedule_keys
+       << ", \"shared_draws\": " << fault_campaign.shared_draws
+       << ", \"per_cell_draws\": " << fault_campaign.per_cell_draws
+       << ", \"per_cell_wall_s\": " << fault_campaign.per_cell_wall_s
+       << ", \"shared_wall_s\": " << fault_campaign.shared_wall_s
+       << ", \"speedup_shared_vs_per_cell\": " << fault_campaign.speedup
+       << ", \"per_cell_digest\": \"" << hex_digest(fault_campaign.per_cell_digest)
+       << "\", \"shared_digest\": \"" << hex_digest(fault_campaign.shared_digest)
+       << "\", \"blocks_agree\": " << (fault_campaign.blocks_agree ? "true" : "false")
+       << ", \"enforced\": true, \"pass\": " << (fault_campaign_pass ? "true" : "false")
+       << "},\n";
   json << "  \"disk_warm_gate\": {\"metric\": \"disk_warm.speedup_warm_vs_cold\", "
        << "\"min_speedup\": " << kMinDiskWarmSpeedup
        << ", \"users\": " << disk.users << ", \"seeds\": " << disk.seeds
@@ -1241,6 +1505,18 @@ int run(int argc, const char* const* argv) {
                  static_cast<unsigned long long>(pool.one_thread_digest));
     return 1;
   }
+  if (!fault_campaign_pass) {
+    std::fprintf(stderr,
+                 "PERF GATE FAILED: fault campaign with shared schedules (digest "
+                 "%016llx, %lld draws for %zu keys) differs from per-cell draws "
+                 "(digest %016llx)%s\n",
+                 static_cast<unsigned long long>(fault_campaign.shared_digest),
+                 static_cast<long long>(fault_campaign.shared_draws),
+                 fault_campaign.schedule_keys,
+                 static_cast<unsigned long long>(fault_campaign.per_cell_digest),
+                 fault_campaign.blocks_agree ? "" : "; blocks disagree");
+    return 1;
+  }
   if (!disk_pass) {
     std::fprintf(stderr,
                  "PERF GATE FAILED: disk-warm rerun (%llu generations, %s, "
@@ -1280,7 +1556,8 @@ int run(int argc, const char* const* argv) {
   std::printf(
       "perf gate passed (solver %.1fx >= %.1fx; ema N=1000 %s; 0 allocs/slot; "
       "campaign %.2fx%s; "
-      "pool bit-identical to 1 thread; disk-warm %.2fx%s; service scale %s; "
+      "pool bit-identical to 1 thread; shared fault schedules bit-identical, one "
+      "per key; disk-warm %.2fx%s; service scale %s; "
       "telemetry observation-only, on/off %.3f slot path, %.3f pool; "
       "parallel trace generation bit-identical, %.2fx)\n",
       solver_results.front().speedup, kMinSpeedup,

@@ -119,4 +119,47 @@ int guarded_main(const std::string& program, int argc, const char* const* argv,
   }
 }
 
+const std::vector<FaultLevel>& fault_sweep_levels() {
+  static const std::vector<FaultLevel> levels = [] {
+    FaultConfig low;
+    low.outage_rate_per_kslot = 2.0;
+    low.outage_min_slots = 5;
+    low.outage_max_slots = 20;
+    low.staleness_rate_per_kslot = 4.0;
+    low.departure_fraction = 0.10;
+    low.capacity_rate_per_kslot = 1.0;
+    low.capacity_scale = 0.8;
+
+    FaultConfig medium;
+    medium.outage_rate_per_kslot = 5.0;
+    medium.outage_min_slots = 5;
+    medium.outage_max_slots = 30;
+    medium.staleness_rate_per_kslot = 10.0;
+    medium.staleness_max_slots = 30;
+    medium.departure_fraction = 0.25;
+    medium.capacity_rate_per_kslot = 2.0;
+    medium.capacity_scale = 0.5;
+
+    FaultConfig high;
+    high.outage_rate_per_kslot = 12.0;
+    high.outage_min_slots = 10;
+    high.outage_max_slots = 40;
+    high.staleness_rate_per_kslot = 25.0;
+    high.staleness_min_slots = 5;
+    high.staleness_max_slots = 40;
+    high.departure_fraction = 0.5;
+    high.capacity_rate_per_kslot = 4.0;
+    high.capacity_scale = 0.3;
+    return std::vector<FaultLevel>{
+        {"none", {}}, {"low", low}, {"medium", medium}, {"high", high}};
+  }();
+  return levels;
+}
+
+const std::vector<std::string>& fault_sweep_schedulers() {
+  static const std::vector<std::string> names{"default", "throttling", "onoff", "salsa",
+                                              "estreamer", "rtma",       "ema"};
+  return names;
+}
+
 }  // namespace jstream::bench

@@ -13,6 +13,7 @@
 #include "common/table.hpp"
 #include "sim/campaign.hpp"
 #include "sim/experiment.hpp"
+#include "sim/fault.hpp"
 #include "sim/sweep.hpp"
 
 namespace jstream::bench {
@@ -43,6 +44,20 @@ struct CommonArgs {
 [[nodiscard]] std::vector<RunMetrics> run_grid(const CommonArgs& args,
                                                std::span<const ExperimentSpec> specs,
                                                bool keep_series = false);
+
+/// One degraded-cell intensity of the fault sweep.
+struct FaultLevel {
+  std::string name;
+  FaultConfig faults;
+};
+
+/// The fault sweep's intensity levels, in order: none, low, medium, high
+/// (bench_fault_sweep tabulates them; bench_perf_gate runs the three that
+/// fault).
+[[nodiscard]] const std::vector<FaultLevel>& fault_sweep_levels();
+
+/// The fault sweep's schedulers: all seven factory schedulers, in order.
+[[nodiscard]] const std::vector<std::string>& fault_sweep_schedulers();
 
 /// Writes `rows` to `<csv_dir>/<file>` when csv_dir is non-empty.
 void maybe_write_csv(const std::string& csv_dir, const std::string& file,

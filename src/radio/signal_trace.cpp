@@ -1,22 +1,45 @@
 #include "radio/signal_trace.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
 
 namespace jstream {
 
-SignalTraceSet::SignalTraceSet(std::size_t users, std::int64_t slots)
+SignalTraceSet::SignalTraceSet(std::size_t users, std::int64_t slots, Uninitialized)
     : users_(users), slots_(slots) {
   require(users > 0, "trace set needs at least one user");
   require(slots > 0, "trace set needs at least one slot");
   const std::size_t cells = users_ * checked_size(slots_);
-  signal_.resize(cells);
-  throughput_.resize(cells);
-  energy_.resize(cells);
-  signal_view_ = signal_.data();
-  throughput_view_ = throughput_.data();
-  energy_view_ = energy_.data();
+  signal_ = std::make_unique_for_overwrite<double[]>(cells);
+  throughput_ = std::make_unique_for_overwrite<double[]>(cells);
+  energy_ = std::make_unique_for_overwrite<double[]>(cells);
+  signal_view_ = signal_.get();
+  throughput_view_ = throughput_.get();
+  energy_view_ = energy_.get();
+}
+
+SignalTraceSet::SignalTraceSet(std::size_t users, std::int64_t slots)
+    : SignalTraceSet(users, slots, Uninitialized{}) {
+  const std::size_t cells = users_ * checked_size(slots_);
+  std::fill_n(signal_.get(), cells, 0.0);
+  std::fill_n(throughput_.get(), cells, 0.0);
+  std::fill_n(energy_.get(), cells, 0.0);
+}
+
+std::shared_ptr<const SignalTraceSet> SignalTraceSet::generate(
+    std::span<SignalModel* const> models, std::int64_t slots, const LinkModel& link,
+    ThreadPool& pool) {
+  require(link.throughput != nullptr && link.power != nullptr,
+          "link model must be complete");
+  auto set = std::shared_ptr<SignalTraceSet>(
+      new SignalTraceSet(models.size(), slots, Uninitialized{}));
+  parallel_for(pool, models.size(),
+               [&](std::size_t user) { set->fill_user(user, *models[user]); });
+  set->derive_link(link, pool);
+  return set;
 }
 
 std::shared_ptr<const SignalTraceSet> SignalTraceSet::adopt_mapping(

@@ -16,7 +16,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
+#include <span>
 
 #include "radio/link_model.hpp"
 #include "radio/signal_model.hpp"
@@ -31,8 +31,9 @@ class ThreadPool;
 /// matrix, three matrices per set (see total_bytes / docs/PERFORMANCE.md).
 ///
 /// Two storage modes share one read interface:
-///  - owning (the constructor): the three matrices live in vectors filled by
-///    fill_user / derive_link — the generation path;
+///  - owning (the constructor, or generate): the three matrices live in
+///    arrays the set owns, filled by fill_user / derive_link — the
+///    generation path;
 ///  - mapped (adopt_mapping): the matrices alias an external read-only block,
 ///    typically a memory-mapped trace file from the persistent tier
 ///    (signal_trace_io). A mapped set is born fully derived and immutable;
@@ -41,8 +42,23 @@ class ThreadPool;
 ///    energy_data() pointers either way — promotion from disk is zero-copy.
 class SignalTraceSet {
  public:
-  /// Allocates storage for `users` rows over `slots` slots (both > 0).
+  /// Allocates zero-filled storage for `users` rows over `slots` slots (both
+  /// > 0), for the caller to fill with fill_user and derive_link.
   SignalTraceSet(std::size_t users, std::int64_t slots);
+
+  /// Builds a complete, link-derived set on `pool`: row `user` walks
+  /// `*models[user]` as fill_user does, users in parallel, then the fits run
+  /// per slot row as derive_link(link, pool) does. Each model walks its own
+  /// RNG stream and writes only its own user's cells, and each derived cell
+  /// is a pure function of one signal value, so the result is bit-identical
+  /// to the constructor, fill_user in user order and derive_link. The
+  /// matrices are allocated without initialisation and first touched by
+  /// those parallel fills, which write every cell before the set is
+  /// returned: no serial zero-fill on the calling thread, and no cell that
+  /// nobody wrote.
+  [[nodiscard]] static std::shared_ptr<const SignalTraceSet> generate(
+      std::span<SignalModel* const> models, std::int64_t slots, const LinkModel& link,
+      ThreadPool& pool);
 
   /// Wraps three externally-stored slot-major matrices (each users * slots
   /// doubles, 8-byte aligned) without copying. `keepalive` owns the backing
@@ -108,14 +124,19 @@ class SignalTraceSet {
  private:
   SignalTraceSet() = default;  // adopt_mapping's blank slate
 
+  /// Owning storage left uninitialised; only generate, which writes every
+  /// cell before anyone can read one, and the public constructor use it.
+  struct Uninitialized {};
+  SignalTraceSet(std::size_t users, std::int64_t slots, Uninitialized);
+
   /// Fills the derived cells of slot `slot`'s row.
   void derive_slot(const LinkModel& link, std::size_t slot);
 
   std::size_t users_ = 0;
   std::int64_t slots_ = 0;
-  std::vector<double> signal_;      ///< sig_i(n), dBm (owning mode)
-  std::vector<double> throughput_;  ///< v(sig_i(n)), KB/s (owning mode)
-  std::vector<double> energy_;      ///< P(sig_i(n)), mJ/KB (owning mode)
+  std::unique_ptr<double[]> signal_;      ///< sig_i(n), dBm (owning mode)
+  std::unique_ptr<double[]> throughput_;  ///< v(sig_i(n)), KB/s (owning mode)
+  std::unique_ptr<double[]> energy_;      ///< P(sig_i(n)), mJ/KB (owning mode)
   const double* signal_view_ = nullptr;
   const double* throughput_view_ = nullptr;
   const double* energy_view_ = nullptr;

@@ -51,7 +51,10 @@ struct CampaignOptions {
 /// Runs every spec on the pool (order-preserving, same contract as run_sweep)
 /// with the channel substrate shared through the trace cache. With
 /// `use_trace_cache` off each cell generates its own trace — same results,
-/// bit for bit; this is the baseline the perf gate measures against.
+/// bit for bit; this is the baseline the perf gate measures against. Faulted
+/// specs share one fault schedule per distinct (seed, users, horizon,
+/// fault_fingerprint), drawn by the first cell that needs it and released
+/// when the campaign returns; results equal per-cell draws bit for bit.
 [[nodiscard]] std::vector<RunMetrics> run_campaign(
     std::span<const ExperimentSpec> specs, const CampaignOptions& options = {});
 

@@ -29,11 +29,12 @@ std::unique_ptr<Scheduler> make_scheduler_for_scenario(const std::string& name,
 }
 
 RunMetrics run_experiment(const ExperimentSpec& spec, bool keep_series,
-                          std::shared_ptr<const SignalTraceSet> trace) {
+                          std::shared_ptr<const SignalTraceSet> trace,
+                          std::shared_ptr<const FaultSchedule> faults) {
   Simulator simulator(spec.scenario,
                       make_scheduler_for_scenario(spec.scheduler, spec.options,
                                                   spec.scenario),
-                      SchedulingMode::kBaseline, std::move(trace));
+                      SchedulingMode::kBaseline, std::move(trace), std::move(faults));
   return simulator.run(keep_series);
 }
 

@@ -36,12 +36,13 @@ struct ExperimentSpec {
     const ScenarioConfig& scenario);
 
 /// Runs one spec and returns its metrics. When `trace` is set the run reads
-/// the channel from the precomputed substrate (see Simulator); results are
-/// bit-identical either way.
-[[nodiscard]] RunMetrics run_experiment(const ExperimentSpec& spec,
-                                        bool keep_series = true,
-                                        std::shared_ptr<const SignalTraceSet> trace =
-                                            nullptr);
+/// the channel from the precomputed substrate, and when `faults` is set it
+/// applies that shared fault schedule instead of drawing its own (see
+/// Simulator); results are bit-identical either way.
+[[nodiscard]] RunMetrics run_experiment(
+    const ExperimentSpec& spec, bool keep_series = true,
+    std::shared_ptr<const SignalTraceSet> trace = nullptr,
+    std::shared_ptr<const FaultSchedule> faults = nullptr);
 
 /// Reference quantities from a default-strategy run over `scenario`.
 struct DefaultReference {

@@ -134,8 +134,13 @@ std::uint64_t fault_fingerprint(const FaultConfig& config) noexcept {
 }
 
 FaultSchedule::FaultSchedule(std::size_t users, std::int64_t horizon,
-                             double outage_dbm)
-    : per_user_(users), horizon_(horizon), outage_dbm_(outage_dbm) {
+                             double outage_dbm, std::uint64_t seed,
+                             std::uint64_t fingerprint)
+    : per_user_(users),
+      horizon_(horizon),
+      outage_dbm_(outage_dbm),
+      seed_(seed),
+      fingerprint_(fingerprint) {
   require(horizon > 0, "fault schedule needs a positive horizon");
 }
 
@@ -212,6 +217,10 @@ std::span<const FaultInterval> FaultSchedule::capacity_windows() const noexcept 
   return capacity_windows_;
 }
 
+std::span<const double> FaultSchedule::capacity_scales() const noexcept {
+  return capacity_scales_;
+}
+
 std::int64_t FaultSchedule::total_outage_slots() const noexcept {
   std::int64_t total = 0;
   for (const PerUser& user : per_user_) {
@@ -239,7 +248,8 @@ std::size_t FaultSchedule::departures() const noexcept {
 FaultSchedule make_fault_schedule(const ScenarioConfig& config) {
   validate(config.faults);
   const FaultConfig& faults = config.faults;
-  FaultSchedule schedule(config.users, config.max_slots, faults.outage_dbm);
+  FaultSchedule schedule(config.users, config.max_slots, faults.outage_dbm, config.seed,
+                         fault_fingerprint(faults));
   if (!faults.any()) return schedule;
 
   // Independent of the endpoint construction streams (those are
@@ -277,6 +287,12 @@ FaultInjector::FaultInjector(std::shared_ptr<const FaultSchedule> schedule)
     : schedule_(std::move(schedule)) {
   require(schedule_ != nullptr, "fault injector needs a schedule");
   const std::size_t users = schedule_->users();
+  cursors_.reserve(users);
+  for (std::size_t i = 0; i < users; ++i) {
+    cursors_.push_back(UserCursors{WindowCursor{schedule_->outages(i)},
+                                   WindowCursor{schedule_->stale_windows(i)}});
+  }
+  capacity_cursor_.windows = schedule_->capacity_windows();
   truth_.resize(users);
   last_fresh_.resize(users);
   stale_now_.assign(users, 0);
@@ -294,10 +310,21 @@ void FaultInjector::degrade_context(SlotContext& ctx) {
   std::int64_t outages = 0;
   std::int64_t stale = 0;
 
+  if (slot < last_slot_) {
+    for (UserCursors& user : cursors_) {
+      user.outage.next = 0;
+      user.stale.next = 0;
+    }
+    capacity_cursor_.next = 0;
+  }
+  last_slot_ = slot;
+
   // (b) Base-station degradation scales the constraint Eq. 2 bound before
   // the scheduler sees it, so every policy's decision is feasible for the
   // degraded cell by construction.
-  const double scale = schedule_->capacity_scale(slot);
+  const double scale = capacity_cursor_.covers(slot)
+                           ? schedule_->capacity_scales()[capacity_cursor_.next]
+                           : 1.0;
   if (scale < 1.0) {
     ctx.capacity_units = floor_to_count(as_double(ctx.capacity_units) * scale);
     if (telemetry_on) probes.capacity_degraded_slots.add();
@@ -328,7 +355,7 @@ void FaultInjector::degrade_context(SlotContext& ctx) {
     // 3/4 fits are re-evaluated at the fade depth (positive but collapsed
     // throughput, inflated per-KB energy), and the Eq. 1 cap shrinks with
     // them. This is not a reporting artifact, so it is never undone.
-    if (schedule_->outaged(i, slot)) {
+    if (cursors_[i].outage.covers(slot)) {
       info.signal_dbm = schedule_->outage_dbm();
       info.throughput_kbps = ctx.throughput->throughput_kbps(info.signal_dbm);
       info.energy_per_kb = ctx.power->energy_per_kb(info.signal_dbm);
@@ -345,7 +372,7 @@ void FaultInjector::degrade_context(SlotContext& ctx) {
     // content, buffer, bitrate — is still the truth). The displaced truth is
     // stashed and restored in reconcile_allocation. Until a first fresh
     // report exists there is nothing stale to serve.
-    if (schedule_->stale(i, slot) && last_fresh_[i].valid) {
+    if (cursors_[i].stale.covers(slot) && last_fresh_[i].valid) {
       truth_[i] = LinkSnapshot{info.signal_dbm,  info.throughput_kbps,
                                info.energy_per_kb, info.link_units,
                                info.alloc_cap_units, true};

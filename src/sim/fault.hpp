@@ -106,15 +106,20 @@ struct FaultInterval {
 
 /// The materialized fault plan for one run: per-user outage and staleness
 /// windows, per-user departure slots, and base-station capacity windows.
-/// Queries are O(log windows) and allocation-free — they run on the per-slot
-/// path. Windows are appended in increasing, non-overlapping order (enforced).
+/// Random-access queries are O(log windows) and allocation-free; they are
+/// the reference FaultInjector's cursor walk is tested against. Windows are
+/// appended in increasing, non-overlapping order (enforced).
 class FaultSchedule {
  public:
   static constexpr std::int64_t kNeverDeparts =
       std::numeric_limits<std::int64_t>::max();
 
   FaultSchedule() = default;
-  FaultSchedule(std::size_t users, std::int64_t horizon, double outage_dbm);
+  /// `seed` and `fingerprint` record what the schedule was drawn for
+  /// (make_fault_schedule passes the scenario seed and fault_fingerprint of
+  /// its FaultConfig); a hand-built schedule leaves both 0.
+  FaultSchedule(std::size_t users, std::int64_t horizon, double outage_dbm,
+                std::uint64_t seed = 0, std::uint64_t fingerprint = 0);
 
   /// Appends one window per call; begins must strictly increase past the
   /// previous window's end. Windows are clamped to the horizon by the caller.
@@ -126,6 +131,8 @@ class FaultSchedule {
   [[nodiscard]] std::size_t users() const noexcept { return per_user_.size(); }
   [[nodiscard]] std::int64_t horizon() const noexcept { return horizon_; }
   [[nodiscard]] double outage_dbm() const noexcept { return outage_dbm_; }
+  [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
+  [[nodiscard]] std::uint64_t fingerprint() const noexcept { return fingerprint_; }
 
   /// True when the schedule contains at least one window or departure.
   [[nodiscard]] bool active() const noexcept { return active_; }
@@ -143,6 +150,8 @@ class FaultSchedule {
   [[nodiscard]] std::span<const FaultInterval> outages(std::size_t user) const;
   [[nodiscard]] std::span<const FaultInterval> stale_windows(std::size_t user) const;
   [[nodiscard]] std::span<const FaultInterval> capacity_windows() const noexcept;
+  /// Eq. 2 multiplier of each capacity window, parallel to capacity_windows().
+  [[nodiscard]] std::span<const double> capacity_scales() const noexcept;
   [[nodiscard]] std::int64_t total_outage_slots() const noexcept;
   [[nodiscard]] std::int64_t total_stale_slots() const noexcept;
   [[nodiscard]] std::size_t departures() const noexcept;
@@ -159,18 +168,27 @@ class FaultSchedule {
   std::vector<double> capacity_scales_;  ///< parallel to capacity_windows_
   std::int64_t horizon_ = 0;
   double outage_dbm_ = -112.0;
+  std::uint64_t seed_ = 0;
+  std::uint64_t fingerprint_ = 0;
   bool active_ = false;
 };
 
 /// Generates the schedule for a scenario: a pure function of the config (the
 /// fault RNG is split from config.seed on streams disjoint from the per-user
 /// endpoint streams). An inactive config yields an inactive schedule without
-/// consuming any random draws.
+/// consuming any random draws. The schedule records config.seed and
+/// fault_fingerprint(config.faults), so a Simulator handed a shared schedule
+/// can check that it was drawn for its own scenario.
 [[nodiscard]] FaultSchedule make_fault_schedule(const ScenarioConfig& config);
 
 /// SlotFaultHook implementation applying a FaultSchedule to the slot path.
 /// All workspaces are sized at construction; degrade/reconcile perform zero
 /// heap allocations (pinned by tests/perf/test_zero_alloc_slot.cpp).
+///
+/// Window lookups walk forward cursors, one per user and family plus one for
+/// capacity, so a slot costs O(1) per user instead of two binary searches.
+/// A slot earlier than the previous one rewinds every cursor, so any slot
+/// sequence answers exactly as the schedule's random-access queries do.
 class FaultInjector final : public SlotFaultHook {
  public:
   explicit FaultInjector(std::shared_ptr<const FaultSchedule> schedule);
@@ -193,7 +211,27 @@ class FaultInjector final : public SlotFaultHook {
     bool valid = false;
   };
 
+  /// The first window of `windows` that ends after the last slot looked up;
+  /// slots must not decrease between rewinds.
+  struct WindowCursor {
+    std::span<const FaultInterval> windows;
+    std::size_t next = 0;
+
+    [[nodiscard]] bool covers(std::int64_t slot) noexcept {
+      while (next < windows.size() && windows[next].end <= slot) ++next;
+      return next < windows.size() && windows[next].begin <= slot;
+    }
+  };
+
+  struct UserCursors {
+    WindowCursor outage;
+    WindowCursor stale;
+  };
+
   std::shared_ptr<const FaultSchedule> schedule_;
+  std::vector<UserCursors> cursors_;
+  WindowCursor capacity_cursor_;
+  std::int64_t last_slot_ = std::numeric_limits<std::int64_t>::min();
   std::vector<LinkSnapshot> truth_;
   std::vector<LinkSnapshot> last_fresh_;
   std::vector<unsigned char> stale_now_;

@@ -32,17 +32,26 @@ struct SimulatorTelemetry {
 }  // namespace
 
 Simulator::Simulator(ScenarioConfig config, std::unique_ptr<Scheduler> scheduler,
-                     SchedulingMode mode, std::shared_ptr<const SignalTraceSet> trace)
+                     SchedulingMode mode, std::shared_ptr<const SignalTraceSet> trace,
+                     std::shared_ptr<const FaultSchedule> faults)
     : config_(std::move(config)),
       scheduler_(std::move(scheduler)),
       mode_(mode),
-      trace_(std::move(trace)) {
+      trace_(std::move(trace)),
+      faults_(std::move(faults)) {
   validate(config_);
   require(scheduler_ != nullptr, "simulator needs a scheduler");
   if (trace_ != nullptr) {
     require(trace_->users() == config_.users, "trace population mismatch");
     require(trace_->slots() >= config_.max_slots, "trace shorter than the horizon");
     require(trace_->link_derived(), "trace is missing the derived link matrices");
+  }
+  if (faults_ != nullptr) {
+    require(faults_->users() == config_.users, "fault schedule population mismatch");
+    require(faults_->horizon() == config_.max_slots, "fault schedule horizon mismatch");
+    require(faults_->seed() == config_.seed, "fault schedule was drawn for another seed");
+    require(faults_->fingerprint() == fault_fingerprint(config_.faults),
+            "fault schedule was drawn for another fault config");
   }
 }
 
@@ -61,12 +70,15 @@ RunMetrics Simulator::run(bool keep_series) {
   Framework framework(std::move(collector), std::move(scheduler_), mode_,
                       config_.users, backhaul);
   // Degraded-cell faults: the schedule is a pure function of the config, so
-  // cached-trace and live runs fault identically; an inactive config attaches
-  // nothing and leaves the slot path byte-for-byte unfaulted.
+  // cached-trace and live runs, and shared and own schedules, fault
+  // identically; an inactive config attaches nothing and leaves the slot
+  // path byte-for-byte unfaulted.
   std::unique_ptr<FaultInjector> fault_injector;
   if (config_.faults.any()) {
     fault_injector = std::make_unique<FaultInjector>(
-        std::make_shared<const FaultSchedule>(make_fault_schedule(config_)));
+        faults_ != nullptr
+            ? faults_
+            : std::make_shared<const FaultSchedule>(make_fault_schedule(config_)));
     // Mid-stream aborts ride the session-departure path: the schedule's drawn
     // slots are stamped on the endpoints, the collector raises the departed
     // flag, and the injector only does its fault-local bookkeeping.

@@ -12,6 +12,8 @@
 
 namespace jstream {
 
+class FaultSchedule;
+
 /// Runs one scheduler over one scenario.
 class Simulator {
  public:
@@ -21,9 +23,14 @@ class Simulator {
   /// it must cover the scenario (same population, >= max_slots slots, link
   /// matrices derived) and the run reads signals from it instead of driving
   /// the per-endpoint SignalModels — bit-identical results either way.
+  /// `faults` optionally supplies the scenario's fault schedule, drawn once
+  /// and shared by a campaign's cells; it must be make_fault_schedule's
+  /// result for this seed, population, horizon and fault config (each
+  /// mismatch is rejected by name). When null a faulted run draws its own.
   Simulator(ScenarioConfig config, std::unique_ptr<Scheduler> scheduler,
             SchedulingMode mode = SchedulingMode::kBaseline,
-            std::shared_ptr<const SignalTraceSet> trace = nullptr);
+            std::shared_ptr<const SignalTraceSet> trace = nullptr,
+            std::shared_ptr<const FaultSchedule> faults = nullptr);
 
   /// Runs to completion: until max_slots, or (with early_stop) until every
   /// session has finished and the RRC tails have been flushed. `keep_series`
@@ -37,6 +44,7 @@ class Simulator {
   std::unique_ptr<Scheduler> scheduler_;
   SchedulingMode mode_;
   std::shared_ptr<const SignalTraceSet> trace_;
+  std::shared_ptr<const FaultSchedule> faults_;
 };
 
 /// Convenience wrapper: build, run, and return metrics in one call.

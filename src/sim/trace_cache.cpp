@@ -157,15 +157,11 @@ std::shared_ptr<const SignalTraceSet> generate_signal_trace_set(
   // per-user RNG stream the incremental path would use; walking those models
   // slot-by-slot reproduces its values bit-for-bit.
   std::vector<UserEndpoint> endpoints = build_endpoints(config);
-  auto set = std::make_shared<SignalTraceSet>(config.users, config.max_slots);
-  // Each model walks its own RNG stream and writes only its own user's cells,
-  // so users can fill in any order on any thread: the rows, and the fits
-  // derived from them, come out bit-identical to a serial walk.
-  ThreadPool& pool = caller_or_shared_pool();
-  parallel_for(pool, endpoints.size(),
-               [&](std::size_t user) { set->fill_user(user, *endpoints[user].signal); });
-  set->derive_link(config.link, pool);
-  return set;
+  std::vector<SignalModel*> models;
+  models.reserve(endpoints.size());
+  for (UserEndpoint& endpoint : endpoints) models.push_back(endpoint.signal.get());
+  return SignalTraceSet::generate(models, config.max_slots, config.link,
+                                  caller_or_shared_pool());
 }
 
 TraceCache::TraceCache(std::size_t max_bytes) : max_bytes_(max_bytes) {}

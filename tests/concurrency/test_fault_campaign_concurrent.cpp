@@ -1,9 +1,10 @@
 // Faulted campaigns under concurrency (runs in the TSan configuration via
-// the `concurrency` label): fault schedules are generated per cell inside
-// worker threads while the trace cache serves shared channel substrates —
-// sharded faulted grids must match an undisturbed serial baseline bit for
-// bit, and faulted cells must never alias an unfaulted cache entry even when
-// both key spaces race through one cache.
+// the `concurrency` label): each fault schedule is drawn once per key by
+// whichever worker first needs it and shared by that key's other cells,
+// while the trace cache serves shared channel substrates — sharded faulted
+// grids must match an undisturbed serial baseline bit for bit, and faulted
+// cells must never alias an unfaulted cache entry even when both key spaces
+// race through one cache.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "sim/campaign.hpp"
 #include "sim/fault.hpp"
 #include "sim/scenario.hpp"
+#include "telemetry/registry.hpp"
 
 namespace jstream {
 namespace {
@@ -108,6 +110,38 @@ TEST(FaultCampaignConcurrent, FaultedAndBenignGridsShareACacheWithoutAliasing) {
     }
   }
   EXPECT_TRUE(any_differs);
+}
+
+TEST(FaultCampaignConcurrent, SharedSchedulesOnFourThreadsMatchASerialLoop) {
+  // Three schedulers x three seeds under two fault configs: six schedule
+  // keys, each drawn once while up to four workers need it.
+  ScenarioConfig heavy = faulted_scenario(71);
+  heavy.faults.outage_rate_per_kslot = 25.0;
+  heavy.faults.salt = 3;
+  std::vector<ExperimentSpec> specs =
+      make_campaign_grid(faulted_scenario(71), kSeries, /*replications=*/3);
+  const std::vector<ExperimentSpec> heavy_specs =
+      make_campaign_grid(heavy, kSeries, /*replications=*/3);
+  specs.insert(specs.end(), heavy_specs.begin(), heavy_specs.end());
+
+  std::vector<RunMetrics> serial;
+  for (const ExperimentSpec& spec : specs) {
+    serial.push_back(run_experiment(spec, /*keep_series=*/false));
+  }
+  TraceCache cache;
+  CampaignOptions parallel;
+  parallel.threads = 4;
+  parallel.cache = &cache;
+  const telemetry::Counter& schedules =
+      telemetry::global_registry().counter("fault.schedules");
+  const std::int64_t drawn_before = schedules.value();
+  const std::vector<RunMetrics> sharded = run_campaign(specs, parallel);
+  EXPECT_EQ(schedules.value() - drawn_before, 6);
+
+  ASSERT_EQ(sharded.size(), serial.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(metrics_digest(sharded[i]), metrics_digest(serial[i])) << specs[i].label;
+  }
 }
 
 }  // namespace

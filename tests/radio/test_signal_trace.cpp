@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "radio/link_model.hpp"
 #include "radio/signal_model.hpp"
 
@@ -88,6 +90,50 @@ TEST(SignalTraceSet, SlotMajorLayoutAndAccounting) {
   EXPECT_EQ(set.index(0, 1), 3u);
   EXPECT_EQ(set.total_bytes(), 3u * 8u * 3u * 5u);
   EXPECT_EQ(SignalTraceSet::estimate_bytes(3, 5), set.total_bytes());
+}
+
+TEST(SignalTraceSet, ConstructedSetReadsZeroUntilFilled) {
+  // The public constructor hands out storage for the caller to fill, so no
+  // cell may read anything but 0 before fill_user / derive_link write it.
+  const SignalTraceSet set(/*users=*/7, /*slots=*/300);
+  const std::size_t cells = 7 * 300;
+  for (std::size_t i = 0; i < cells; ++i) {
+    ASSERT_EQ(set.signal_data()[i], 0.0) << i;
+    ASSERT_EQ(set.throughput_data()[i], 0.0) << i;
+    ASSERT_EQ(set.energy_data()[i], 0.0) << i;
+  }
+}
+
+TEST(SignalTraceSet, GenerateEqualsTheSerialWalkByteForByte) {
+  constexpr std::size_t kUsers = 5;
+  const Rng rng(77);
+  const LinkModel link = make_paper_link_model();
+  std::vector<std::unique_ptr<SignalModel>> parallel_models;
+  SignalTraceSet serial(kUsers, kSlots);
+  for (std::size_t user = 0; user < kUsers; ++user) {
+    GaussMarkovSignalModel twin({}, rng.split(user));
+    serial.fill_user(user, twin);
+    parallel_models.push_back(
+        std::make_unique<GaussMarkovSignalModel>(GaussMarkovSignalModel::Params{},
+                                                 rng.split(user)));
+  }
+  serial.derive_link(link);
+
+  std::vector<SignalModel*> models;
+  for (const auto& model : parallel_models) models.push_back(model.get());
+  ThreadPool pool(3);
+  const std::shared_ptr<const SignalTraceSet> generated =
+      SignalTraceSet::generate(models, kSlots, link, pool);
+  ASSERT_TRUE(generated->link_derived());
+  ASSERT_EQ(generated->users(), kUsers);
+  const std::size_t bytes = kUsers * static_cast<std::size_t>(kSlots) * sizeof(double);
+  EXPECT_EQ(std::memcmp(generated->signal_data(), serial.signal_data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(generated->throughput_data(), serial.throughput_data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(generated->energy_data(), serial.energy_data(), bytes), 0);
+
+  const LinkModel incomplete;
+  EXPECT_THROW((void)SignalTraceSet::generate(models, kSlots, incomplete, pool), Error);
+  EXPECT_THROW((void)SignalTraceSet::generate({}, kSlots, link, pool), Error);
 }
 
 TEST(SignalTraceSet, RejectsInvalidUse) {

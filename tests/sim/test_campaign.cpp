@@ -2,8 +2,9 @@
 // running any scheduler against the precomputed trace substrate must be
 // bit-identical — slots run, every per-user total, and every per-slot series
 // — to the plain per-run path that drives the SignalModels incrementally.
-// On top of that, run_campaign must agree with run_sweep cell for cell, and
-// the grid builder must order specs rep-major.
+// On top of that, run_campaign must agree with run_sweep cell for cell, the
+// grid builder must order specs rep-major, and a faulted grid must draw one
+// fault schedule per key while matching a serial run_experiment loop.
 
 #include "sim/campaign.hpp"
 
@@ -13,6 +14,7 @@
 #include "common/error.hpp"
 #include "sim/scenario.hpp"
 #include "sim/trace_cache.hpp"
+#include "telemetry/registry.hpp"
 
 namespace jstream {
 namespace {
@@ -197,6 +199,47 @@ TEST(Campaign, CellErrorLeavesTheCampaignAsAnException) {
   options.threads = 2;
   options.cache = &cache;
   EXPECT_THROW((void)run_campaign(specs, options), Error);
+}
+
+TEST(Campaign, FaultedGridDrawsOneSchedulePerKeyAndMatchesASerialLoop) {
+  // Three schedulers x two seeds under a benign, a low and a high fault
+  // config: the faulted cells fall into four (seed, fault config) keys.
+  ScenarioConfig low = small_scenario(41);
+  low.faults.outage_rate_per_kslot = 6.0;
+  low.faults.staleness_rate_per_kslot = 10.0;
+  low.faults.departure_fraction = 0.25;
+  ScenarioConfig high = low;
+  high.faults.outage_rate_per_kslot = 15.0;
+  high.faults.capacity_rate_per_kslot = 6.0;
+  const std::vector<CampaignSeries> series = {
+      {"default", "default", {}}, {"rtma", "rtma", {}}, {"ema", "ema", {}}};
+  std::vector<ExperimentSpec> specs;
+  for (const ScenarioConfig& base : {small_scenario(41), low, high}) {
+    const std::vector<ExperimentSpec> grid =
+        make_campaign_grid(base, series, /*replications=*/2);
+    specs.insert(specs.end(), grid.begin(), grid.end());
+  }
+
+  std::vector<RunMetrics> serial;
+  for (const ExperimentSpec& spec : specs) {
+    serial.push_back(run_experiment(spec, /*keep_series=*/false));
+  }
+  TraceCache cache;
+  CampaignOptions options;
+  options.threads = 1;
+  options.cache = &cache;
+  const telemetry::Counter& schedules =
+      telemetry::global_registry().counter("fault.schedules");
+  const std::int64_t drawn_before = schedules.value();
+  const std::vector<RunMetrics> campaign = run_campaign(specs, options);
+  EXPECT_EQ(schedules.value() - drawn_before, 4);
+
+  ASSERT_EQ(campaign.size(), serial.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(metrics_digest(campaign[i]), metrics_digest(serial[i])) << "cell " << i;
+  }
+  EXPECT_EQ(metrics_digest(std::span<const RunMetrics>(campaign)),
+            metrics_digest(std::span<const RunMetrics>(serial)));
 }
 
 TEST(Campaign, ReferenceHelpersAcceptACache) {

@@ -2,16 +2,21 @@
 // scenario (per-family stream independence included), the window containers
 // enforce their ordering contract, and the FaultInjector rewrites slot
 // contexts exactly as documented — permanent deep-fade truth, capacity
-// scaling, departure zeroing, and the stale-view/reconcile round trip.
+// scaling, departure zeroing, and the stale-view/reconcile round trip — with
+// its window cursors answering exactly as the schedule's searches do.
 
 #include "sim/fault.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "common/units.hpp"
 #include "net/allocation.hpp"
 #include "sim/scenario.hpp"
 #include "test_helpers.hpp"
@@ -432,6 +437,250 @@ TEST(FaultInjector, PessimisticStaleViewIsNotInflated) {
   injector.reconcile_allocation(stale, alloc);
   EXPECT_EQ(stale.users[0].alloc_cap_units, true_cap);
   EXPECT_EQ(alloc.units[0], weak_cap);  // under the true cap: kept
+}
+
+// ---------------------------------------------------------------------------
+// Cursor equivalence: the injector walks its windows with cursors; a
+// reference that answers every lookup with FaultSchedule's random-access
+// searches must rewrite every context and allocation identically.
+
+/// FaultInjector's documented rewrite, with outaged / stale / capacity_scale
+/// answering every window lookup.
+class SearchInjector {
+ public:
+  explicit SearchInjector(const FaultSchedule& schedule)
+      : schedule_(schedule),
+        truth_(schedule.users()),
+        last_fresh_(schedule.users()),
+        stale_now_(schedule.users(), false) {}
+
+  void degrade_context(SlotContext& ctx) {
+    const double scale = schedule_.capacity_scale(ctx.slot);
+    if (scale < 1.0) {
+      ctx.capacity_units = floor_to_count(as_double(ctx.capacity_units) * scale);
+    }
+    for (std::size_t i = 0; i < ctx.user_count(); ++i) {
+      UserSlotInfo& info = ctx.users[i];
+      stale_now_[i] = false;
+      if (info.departed) {
+        last_fresh_[i].reset();
+        continue;
+      }
+      if (!info.arrived) continue;
+      if (schedule_.outaged(i, ctx.slot)) {
+        info.signal_dbm = schedule_.outage_dbm();
+        info.throughput_kbps = ctx.throughput->throughput_kbps(info.signal_dbm);
+        info.energy_per_kb = ctx.power->energy_per_kb(info.signal_dbm);
+        info.link_units = ctx.params.link_units(info.throughput_kbps);
+        info.alloc_cap_units = capped(ctx, info, info.link_units);
+      }
+      if (schedule_.stale(i, ctx.slot) && last_fresh_[i].has_value()) {
+        truth_[i] = info;
+        const UserSlotInfo& seen = *last_fresh_[i];
+        info.signal_dbm = seen.signal_dbm;
+        info.throughput_kbps = seen.throughput_kbps;
+        info.energy_per_kb = seen.energy_per_kb;
+        info.link_units = seen.link_units;
+        info.alloc_cap_units = capped(ctx, info, seen.link_units);
+        stale_now_[i] = true;
+      } else {
+        last_fresh_[i] = info;
+      }
+    }
+  }
+
+  void reconcile_allocation(SlotContext& ctx, Allocation& alloc) {
+    for (std::size_t i = 0; i < ctx.user_count(); ++i) {
+      if (!stale_now_[i]) continue;
+      stale_now_[i] = false;
+      UserSlotInfo& info = ctx.users[i];
+      info.signal_dbm = truth_[i].signal_dbm;
+      info.throughput_kbps = truth_[i].throughput_kbps;
+      info.energy_per_kb = truth_[i].energy_per_kb;
+      info.link_units = truth_[i].link_units;
+      info.alloc_cap_units = truth_[i].alloc_cap_units;
+      alloc.units[i] = std::min(alloc.units[i], truth_[i].alloc_cap_units);
+    }
+  }
+
+ private:
+  static std::int64_t capped(const SlotContext& ctx, const UserSlotInfo& info,
+                             std::int64_t link_units) {
+    const std::int64_t remaining = ceil_to_count(info.remaining_kb / ctx.params.delta_kb);
+    return std::max<std::int64_t>(0, std::min(link_units, remaining));
+  }
+
+  const FaultSchedule& schedule_;
+  std::vector<UserSlotInfo> truth_;
+  std::vector<std::optional<UserSlotInfo>> last_fresh_;
+  std::vector<bool> stale_now_;
+};
+
+/// Windows over [0, horizon): none at all for about one user in four;
+/// otherwise starting at slot 0 half the time, with gaps of 0 (windows that
+/// touch) to 3 slots, and the last window often clamped to end at the
+/// horizon.
+template <typename Add>
+void add_random_windows(Rng& rng, std::int64_t horizon, Add&& add) {
+  if (rng.uniform() < 0.25) return;
+  std::int64_t slot = rng.uniform() < 0.5 ? 0 : rng.uniform_int(1, 4);
+  while (slot < horizon) {
+    const std::int64_t end = std::min(horizon, slot + rng.uniform_int(1, 6));
+    add(FaultInterval{slot, end});
+    slot = end + rng.uniform_int(0, 3);
+  }
+}
+
+FaultSchedule random_schedule(Rng& rng, std::size_t users, std::int64_t horizon) {
+  FaultSchedule schedule(users, horizon, /*outage_dbm=*/-112.0);
+  for (std::size_t user = 0; user < users; ++user) {
+    add_random_windows(rng, horizon, [&](FaultInterval w) { schedule.add_outage(user, w); });
+    add_random_windows(rng, horizon,
+                       [&](FaultInterval w) { schedule.add_stale_window(user, w); });
+  }
+  add_random_windows(rng, horizon, [&](FaultInterval w) {
+    schedule.add_capacity_window(w, rng.uniform(0.1, 1.0));
+  });
+  return schedule;
+}
+
+/// Mostly the next slot, with repeats, backward jumps (one slot, or to any
+/// earlier slot) and forward skips, all inside [0, horizon).
+std::vector<std::int64_t> random_slot_walk(Rng& rng, std::int64_t horizon,
+                                           std::size_t steps) {
+  std::vector<std::int64_t> walk;
+  std::int64_t slot = 0;
+  for (std::size_t step = 0; step < steps; ++step) {
+    walk.push_back(slot);
+    const double move = rng.uniform();
+    if (move < 0.6) {
+      slot += 1;
+    } else if (move < 0.7) {
+      // repeat the slot
+    } else if (move < 0.8) {
+      slot -= 1;
+    } else if (move < 0.9) {
+      slot = rng.uniform_int(0, slot);
+    } else {
+      slot += rng.uniform_int(2, 8);
+    }
+    slot = std::clamp<std::int64_t>(slot, 0, horizon - 1);
+  }
+  return walk;
+}
+
+/// A synthetic slot at `slot`: random link truth per user, some users with
+/// little content left (so the remaining-content cap binds), departed or not
+/// yet arrived.
+SlotContext random_context(Rng& rng, std::size_t users, std::int64_t slot) {
+  std::vector<TestUser> population(users);
+  for (TestUser& user : population) {
+    user.signal_dbm = rng.uniform(-108.0, -55.0);
+    user.remaining_kb = rng.uniform() < 0.2 ? rng.uniform(1.0, 400.0) : 1e6;
+  }
+  SlotContext ctx = make_context(population, rng.uniform(500.0, 20000.0), SlotParams{}, slot);
+  for (UserSlotInfo& info : ctx.users) {
+    const double state = rng.uniform();
+    if (state < 0.08) {
+      info.departed = true;
+      info.needs_data = false;
+      info.alloc_cap_units = 0;
+    } else if (state < 0.14) {
+      info.arrived = false;
+    }
+  }
+  return ctx;
+}
+
+void expect_same_context(const SlotContext& got, const SlotContext& want,
+                         const std::string& where) {
+  EXPECT_EQ(got.capacity_units, want.capacity_units) << where;
+  ASSERT_EQ(got.user_count(), want.user_count()) << where;
+  for (std::size_t i = 0; i < got.user_count(); ++i) {
+    const UserSlotInfo& a = got.users[i];
+    const UserSlotInfo& b = want.users[i];
+    EXPECT_EQ(a.signal_dbm, b.signal_dbm) << where << " user " << i;
+    EXPECT_EQ(a.throughput_kbps, b.throughput_kbps) << where << " user " << i;
+    EXPECT_EQ(a.energy_per_kb, b.energy_per_kb) << where << " user " << i;
+    EXPECT_EQ(a.link_units, b.link_units) << where << " user " << i;
+    EXPECT_EQ(a.alloc_cap_units, b.alloc_cap_units) << where << " user " << i;
+  }
+}
+
+TEST(FaultInjector, CursorsAnswerExactlyAsTheScheduleSearches) {
+  Rng root(0x5eed);
+  std::size_t checked_slots = 0;
+  for (std::uint64_t trial = 0; trial < 200; ++trial) {
+    Rng rng = root.split(trial);
+    const std::size_t users = checked_size(rng.uniform_int(1, 6));
+    const std::int64_t horizon = rng.uniform_int(1, 40);
+    const auto schedule = share(random_schedule(rng, users, horizon));
+    FaultInjector injector(schedule);
+    SearchInjector reference(*schedule);
+
+    for (const std::int64_t slot : random_slot_walk(rng, horizon, 120)) {
+      const std::string where =
+          "trial " + std::to_string(trial) + " slot " + std::to_string(slot);
+      SlotContext ctx = random_context(rng, users, slot);
+      SlotContext want = ctx;
+      injector.degrade_context(ctx);
+      reference.degrade_context(want);
+      expect_same_context(ctx, want, where + " (degrade)");
+
+      Allocation alloc = Allocation::zeros(users);
+      for (std::size_t i = 0; i < users; ++i) {
+        alloc.units[i] = rng.uniform_int(0, ctx.users[i].alloc_cap_units + 3);
+      }
+      Allocation want_alloc = alloc;
+      injector.reconcile_allocation(ctx, alloc);
+      reference.reconcile_allocation(want, want_alloc);
+      expect_same_context(ctx, want, where + " (reconcile)");
+      EXPECT_EQ(alloc.units, want_alloc.units) << where;
+      ++checked_slots;
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  EXPECT_EQ(checked_slots, 200u * 120u);
+}
+
+TEST(FaultInjector, CursorsFollowADrawnScheduleThroughAWholeRun) {
+  // A drawn schedule walked slot by slot over its horizon and then again
+  // from slot 0 (a rewind), against the same searches.
+  const ScenarioConfig config = faulted_scenario(23);
+  const auto schedule = share(make_fault_schedule(config));
+  FaultInjector injector(schedule);
+  SearchInjector reference(*schedule);
+  Rng rng(99);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::int64_t slot = 0; slot < config.max_slots; ++slot) {
+      SlotContext ctx = random_context(rng, config.users, slot);
+      SlotContext want = ctx;
+      injector.degrade_context(ctx);
+      reference.degrade_context(want);
+      expect_same_context(ctx, want, "slot " + std::to_string(slot));
+      Allocation alloc = Allocation::zeros(config.users);
+      for (std::size_t i = 0; i < config.users; ++i) {
+        alloc.units[i] = ctx.users[i].alloc_cap_units;
+      }
+      Allocation want_alloc = alloc;
+      injector.reconcile_allocation(ctx, alloc);
+      reference.reconcile_allocation(want, want_alloc);
+      EXPECT_EQ(alloc.units, want_alloc.units) << "slot " << slot;
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(FaultSchedule, RecordsWhatItWasDrawnFor) {
+  const ScenarioConfig config = faulted_scenario(31);
+  const FaultSchedule drawn = make_fault_schedule(config);
+  EXPECT_EQ(drawn.seed(), 31u);
+  EXPECT_EQ(drawn.fingerprint(), fault_fingerprint(config.faults));
+  EXPECT_EQ(drawn.capacity_scales().size(), drawn.capacity_windows().size());
+
+  const FaultSchedule hand_built(/*users=*/1, /*horizon=*/10, /*outage_dbm=*/-112.0);
+  EXPECT_EQ(hand_built.seed(), 0u);
+  EXPECT_EQ(hand_built.fingerprint(), 0u);
 }
 
 TEST(FaultInjector, RejectsPopulationMismatch) {

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "baselines/factory.hpp"
 #include "common/error.hpp"
 #include "common/units.hpp"
+#include "sim/fault.hpp"
+#include "test_helpers.hpp"
 
 namespace jstream {
 namespace {
@@ -78,6 +83,73 @@ TEST(Simulator, RejectsInvalidConstruction) {
   ScenarioConfig bad = small_scenario();
   bad.users = 0;
   EXPECT_THROW(Simulator(bad, make_scheduler("default")), Error);
+}
+
+ScenarioConfig faulted_scenario() {
+  ScenarioConfig config = small_scenario(/*users=*/4, /*seed=*/5);
+  config.max_slots = 400;
+  config.faults.outage_rate_per_kslot = 10.0;
+  config.faults.staleness_rate_per_kslot = 15.0;
+  config.faults.departure_fraction = 0.3;
+  config.faults.capacity_rate_per_kslot = 5.0;
+  return config;
+}
+
+std::shared_ptr<const FaultSchedule> schedule_for(const ScenarioConfig& config) {
+  return std::make_shared<const FaultSchedule>(make_fault_schedule(config));
+}
+
+TEST(Simulator, SharedFaultScheduleRunsBitIdenticalToItsOwnDraw) {
+  const ScenarioConfig config = faulted_scenario();
+  Simulator own(config, make_scheduler("rtma"));
+  Simulator shared(config, make_scheduler("rtma"), SchedulingMode::kBaseline, nullptr,
+                   schedule_for(config));
+  EXPECT_EQ(metrics_digest(shared.run()), metrics_digest(own.run()));
+}
+
+TEST(Simulator, RejectsAFaultScheduleDrawnForAnotherScenario) {
+  const ScenarioConfig config = faulted_scenario();
+  const auto rejection = [&](std::shared_ptr<const FaultSchedule> schedule) {
+    return testing::error_message([&] {
+      const Simulator simulator(config, make_scheduler("default"),
+                                SchedulingMode::kBaseline, nullptr, std::move(schedule));
+    });
+  };
+  const auto expect_rejected = [&](const ScenarioConfig& drawn_for,
+                                   const std::string& message) {
+    const std::string error = rejection(schedule_for(drawn_for));
+    EXPECT_NE(error.find(message), std::string::npos)
+        << "expected \"" << message << "\", got \"" << error << "\"";
+  };
+  EXPECT_EQ(rejection(schedule_for(config)), "");
+
+  ScenarioConfig other = config;
+  other.seed += 1;
+  expect_rejected(other, "fault schedule was drawn for another seed");
+
+  other = config;
+  other.users += 1;
+  expect_rejected(other, "fault schedule population mismatch");
+
+  other = config;
+  other.max_slots += 1;
+  expect_rejected(other, "fault schedule horizon mismatch");
+
+  other = config;
+  other.faults.outage_rate_per_kslot += 1.0;
+  expect_rejected(other, "fault schedule was drawn for another fault config");
+
+  other = config;
+  other.faults.salt = 9;
+  expect_rejected(other, "fault schedule was drawn for another fault config");
+
+  // A hand-built schedule records no seed or fault config, so it is rejected
+  // too (this scenario's seed is not 0, so the seed check names it).
+  auto hand_built = std::make_shared<FaultSchedule>(config.users, config.max_slots,
+                                                    config.faults.outage_dbm);
+  hand_built->add_outage(0, {3, 9});
+  EXPECT_NE(rejection(hand_built).find("fault schedule was drawn for another seed"),
+            std::string::npos);
 }
 
 }  // namespace
