@@ -25,6 +25,7 @@
 //     10000-slot horizon, run once with per-cell trace regeneration and once
 //     through the shared trace cache. Cached results must be bit-identical,
 //     and (at the full horizon; REPRO_SLOTS runs report only) >= 3x faster.
+//     The row reports the bytes of one cached trace (its signal matrix).
 //  4. Pool scaling: the same workload shape at 4 seeds, run on one thread
 //     and on a 4-thread pool, each against a fresh cache. Both grids must
 //     hash (metrics_digest) to the same digest — enforced at every scale,
@@ -47,10 +48,10 @@
 //     enforced at every scale; the on/off time ratios are reported, not
 //     gated, since this host's speed regimes would make a bound flake.
 //  8. Trace generation: one N = 200 trace over the full horizon generated
-//     from the main thread (users and link fits spread over the shared
-//     pool) and by the serial public-API walk, in alternating blocks. Every
-//     parallel result must equal the serial one byte for byte, enforced at
-//     every scale; the wall times and their ratio are reported, not gated.
+//     from the main thread (users spread over the shared pool) and by the
+//     serial public-API walk, in alternating blocks. Every parallel signal
+//     matrix must equal the serial one byte for byte, enforced at every
+//     scale; the wall times and their ratio are reported, not gated.
 //  9. Fault campaign: the fault sweep's 7 schedulers x 3 faulting levels x
 //     2 seeds at N = 40, through run_campaign (one shared fault schedule per
 //     key) and through run_experiment with no schedule (one draw per cell),
@@ -59,7 +60,7 @@
 //     schedule per key, enforced at every scale; wall times are reported,
 //     not gated.
 //
-// Results land in BENCH_PR22.json (override with --out <path>); the JSON
+// Results land in BENCH_PR23.json (override with --out <path>); the JSON
 // schema is documented in docs/PERFORMANCE.md. REPRO_SLOTS in the
 // environment shrinks every loop for smoke runs. The paper-invariant
 // validator must stay at its compiled-out-of-the-hot-path default here: the
@@ -516,6 +517,7 @@ struct CampaignResult {
   double speedup = 0.0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
+  std::size_t bytes_per_trace = 0;  ///< one cached trace: its signal matrix
 };
 
 double seconds_since(Clock::time_point start) {
@@ -554,6 +556,7 @@ CampaignResult bench_campaign(std::int64_t horizon) {
   result.users = specs.front().scenario.users;
   result.schedulers = specs.size() / result.replications;
   result.horizon_slots = horizon;
+  result.bytes_per_trace = SignalTraceSet::estimate_bytes(result.users, horizon);
 
   CampaignOptions uncached_options;
   uncached_options.use_trace_cache = false;
@@ -756,24 +759,19 @@ struct TraceGenerationResult {
   bool bit_identical = true;
 };
 
-/// The serial reference: constructor, fill_user per user in order,
-/// derive_link.
+/// The serial reference: constructor, then fill_user per user in order.
 std::shared_ptr<const SignalTraceSet> serial_trace_set(const ScenarioConfig& config) {
   std::vector<UserEndpoint> endpoints = build_endpoints(config);
   auto set = std::make_shared<SignalTraceSet>(config.users, config.max_slots);
   for (std::size_t user = 0; user < endpoints.size(); ++user) {
     set->fill_user(user, *endpoints[user].signal);
   }
-  set->derive_link(config.link);
   return set;
 }
 
 bool same_matrices(const SignalTraceSet& a, const SignalTraceSet& b) {
-  const std::size_t bytes = a.users() * checked_size(a.slots()) * sizeof(double);
   return a.users() == b.users() && a.slots() == b.slots() &&
-         std::memcmp(a.signal_data(), b.signal_data(), bytes) == 0 &&
-         std::memcmp(a.throughput_data(), b.throughput_data(), bytes) == 0 &&
-         std::memcmp(a.energy_data(), b.energy_data(), bytes) == 0;
+         std::memcmp(a.signal_data(), b.signal_data(), a.total_bytes()) == 0;
 }
 
 TraceGenerationResult bench_trace_generation(std::int64_t horizon) {
@@ -1090,7 +1088,7 @@ TelemetryCostResult bench_telemetry_cost(std::int64_t horizon, std::int64_t warm
 // ---------------------------------------------------------------------------
 
 int run(int argc, const char* const* argv) {
-  std::string out_path = "BENCH_PR22.json";
+  std::string out_path = "BENCH_PR23.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--out" && i + 1 < argc) {
@@ -1186,10 +1184,12 @@ int run(int argc, const char* const* argv) {
   std::printf("campaign grid (7 schedulers x 8 seeds, N=200)\n");
   const CampaignResult campaign = bench_campaign(clamp(10000));
   std::printf(
-      "  uncached %7.2f s   cached %7.2f s   speedup %5.2fx   cache %llu hits / %llu misses\n",
+      "  uncached %7.2f s   cached %7.2f s   speedup %5.2fx   cache %llu hits / %llu misses"
+      "   %.1f MB per trace\n",
       campaign.uncached_wall_s, campaign.cached_wall_s, campaign.speedup,
       static_cast<unsigned long long>(campaign.cache_hits),
-      static_cast<unsigned long long>(campaign.cache_misses));
+      static_cast<unsigned long long>(campaign.cache_misses),
+      as_double(campaign.bytes_per_trace) / 1e6);
   const bool campaign_enforced = repro == 0;
   const bool campaign_pass =
       !campaign_enforced || campaign.speedup >= kMinCampaignSpeedup;
@@ -1323,7 +1323,7 @@ int run(int argc, const char* const* argv) {
   std::ofstream json(out_path);
   require(json.good(), "cannot open perf-gate output file");
   json << "{\n";
-  json << "  \"schema\": \"jstream-perf-gate-v10\",\n";
+  json << "  \"schema\": \"jstream-perf-gate-v11\",\n";
   json << "  \"workload\": \"paper_scenario(users, seed=42), capacity 500 KB/s per user\",\n";
   json << "  \"gate\": {\"metric\": \"solver[0].speedup_vs_reference\", \"min_speedup\": "
        << kMinSpeedup << ", \"pass\": " << (solver_gate_pass ? "true" : "false") << "},\n";
@@ -1446,6 +1446,7 @@ int run(int argc, const char* const* argv) {
        << ", \"speedup_cached_vs_uncached\": " << campaign.speedup
        << ", \"cache_hits\": " << campaign.cache_hits
        << ", \"cache_misses\": " << campaign.cache_misses
+       << ", \"bytes_per_trace\": " << campaign.bytes_per_trace
        << ", \"bit_identical\": true},\n";
   json << "  \"solver\": [\n";
   for (std::size_t i = 0; i < solver_results.size(); ++i) {

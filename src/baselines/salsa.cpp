@@ -32,7 +32,7 @@ void SalsaScheduler::allocate_into(const SlotContext& ctx, Allocation& out) {
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t i = (start + k) % n;
     const UserSlotInfo& user = ctx.users[i];
-    const double cost = ctx.power->energy_per_kb(user.signal_dbm);
+    const double cost = user.energy_per_kb;
     // Keep learning the channel average even on deferral slots.
     double& ewma = ewma_cost_[i];
     ewma = ewma == 0.0 ? cost : (1.0 - params_.ewma_alpha) * ewma + params_.ewma_alpha * cost;

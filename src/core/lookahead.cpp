@@ -69,7 +69,7 @@ void LookaheadScheduler::allocate_into(const SlotContext& ctx, Allocation& out) 
           config_.safety_buffer_s + config_.catchup_margin_s - user.buffer_s;
       wanted = ceil_to_count(deficit_s * user.bitrate_kbps / ctx.params.delta_kb);
     } else {
-      const double now_price = ctx.power->energy_per_kb(user.signal_dbm);
+      const double now_price = user.energy_per_kb;
       if (now_price <= config_.price_slack * best_future_price(ctx, i)) {
         const double deficit_s =
             std::max(config_.prefetch_buffer_s - user.buffer_s, 0.0);

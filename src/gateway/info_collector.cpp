@@ -34,29 +34,39 @@ void InfoCollector::collect_into(std::int64_t slot, std::span<UserEndpoint> endp
   ctx.throughput = link_.throughput.get();
   ctx.power = link_.power.get();
   ctx.radio = &radio_;
-  ctx.users.resize(endpoints.size());
-  for (std::size_t i = 0; i < endpoints.size(); ++i) {
+  const std::size_t n = endpoints.size();
+  ctx.users.resize(n);
+  // One signal lane per slot, staged in the SoA mirror's link lanes: each
+  // endpoint's sig_i(n) comes from its trace row or its live SignalModel,
+  // then both Definition 3/4 fits run once over the whole lane, so
+  // trace-backed and live endpoints share one path. finalize() below
+  // republishes the same values with the rest of the mirror.
+  SlotSoa& lanes = ctx.soa;
+  lanes.signal_dbm.resize(n);
+  lanes.throughput_kbps.resize(n);
+  lanes.energy_per_kb.resize(n);
+  double* signal = lanes.signal_dbm.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const UserEndpoint& endpoint = endpoints[i];
+    if (endpoint.trace != nullptr) {
+      require(slot < endpoint.trace->slots(), "slot beyond precomputed trace");
+      signal[i] = endpoint.trace->signal_data()[endpoint.trace->index(endpoint.trace_user, slot)];
+    } else {
+      signal[i] = endpoint.signal->signal_dbm(slot);
+    }
+  }
+  link_.throughput->throughput_kbps_batch(lanes.signal_dbm, lanes.throughput_kbps);
+  link_.power->energy_per_kb_batch(lanes.signal_dbm, lanes.energy_per_kb);
+
+  for (std::size_t i = 0; i < n; ++i) {
     UserEndpoint& endpoint = endpoints[i];
     UserSlotInfo& info = ctx.users[i];
     info.arrived = endpoint.arrived(slot);
     info.departed = endpoint.departed(slot);
     info.session_epoch = endpoint.session_epoch;
-    if (endpoint.trace != nullptr) {
-      // Campaign path: the channel and both Definition 3/4 fits were batch-
-      // precomputed into the shared SoA trace — three array loads replace
-      // the virtual signal call and the two model evaluations.
-      require(slot < endpoint.trace->slots(), "slot beyond precomputed trace");
-      const std::size_t cell = endpoint.trace->index(endpoint.trace_user, slot);
-      info.signal_dbm = endpoint.trace->signal_data()[cell];
-      info.throughput_kbps = endpoint.trace->throughput_data()[cell];
-      info.energy_per_kb = endpoint.trace->energy_data()[cell];
-    } else {
-      info.signal_dbm = endpoint.signal->signal_dbm(slot);
-      // Evaluate the Definition 3/4 fits once here; every downstream consumer
-      // (cost loops, transmitter) reads the cached values.
-      info.throughput_kbps = link_.throughput->throughput_kbps(info.signal_dbm);
-      info.energy_per_kb = link_.power->energy_per_kb(info.signal_dbm);
-    }
+    info.signal_dbm = signal[i];
+    info.throughput_kbps = lanes.throughput_kbps[i];
+    info.energy_per_kb = lanes.energy_per_kb[i];
     // The rate the scheduler must sustain is that of the content at the
     // delivery frontier (identical to the wall-clock rate for CBR sessions).
     info.bitrate_kbps = endpoint.session.bitrate_at_time(endpoint.content_time_s);

@@ -21,8 +21,11 @@ class InfoCollector {
   /// `link` supplies Definition 3/4 fits; `radio` the RRC parameter set.
   InfoCollector(SlotParams params, LinkModel link, RadioProfile radio);
 
-  /// Assembles the SlotContext for `slot`. `endpoints` supplies signal,
-  /// session, buffer, and RRC state; `bs` supplies S(n).
+  /// Assembles the SlotContext for `slot`. `endpoints` supplies signal
+  /// (from an attached trace row or the live SignalModel), session, buffer,
+  /// and RRC state; `bs` supplies S(n). The Definition 3/4 fits are
+  /// evaluated once per slot over the slot's signal lane with the link
+  /// model's batch forms.
   [[nodiscard]] SlotContext collect(std::int64_t slot,
                                     std::span<UserEndpoint> endpoints,
                                     const BaseStation& bs) const;

@@ -61,7 +61,9 @@ struct UserSlotInfo {
 /// Built from `SlotContext::users` by `SlotContext::finalize()` in one linear
 /// pass; every snapshot producer (InfoCollector::collect_into, the ABR
 /// simulator, test fixtures, the fault layer's post-degrade refresh in
-/// Framework::run_slot) calls it after the AoS records settle. Consumers
+/// Framework::run_slot) calls it after the AoS records settle.
+/// InfoCollector::collect_into also stages the slot's signal lane and both
+/// link-fit lanes here before it fills the AoS records from them. Consumers
 /// guard with `soa.size() == user_count()` so a producer that skips the
 /// rebuild fails loudly instead of reading stale lanes.
 struct SlotSoa {

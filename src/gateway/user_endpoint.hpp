@@ -39,10 +39,11 @@ struct UserEndpoint {
   std::int32_t session_epoch = 0;
 
   /// Precomputed channel substrate (campaign engine). When attached, the
-  /// InfoCollector reads sig/v(sig)/P(sig) from the trace matrices instead
-  /// of driving `signal` — array loads replace the per-slot virtual call and
-  /// the two link-fit evaluations. Non-owning: the Simulator (or whoever
-  /// attaches it) keeps the shared_ptr alive for the run.
+  /// InfoCollector reads sig_i(n) from the trace matrix instead of driving
+  /// `signal` — an array load replaces the per-slot virtual call; the link
+  /// fits run over the slot's signal lane either way. Non-owning: the
+  /// Simulator (or whoever attaches it) keeps the shared_ptr alive for the
+  /// run.
   const SignalTraceSet* trace = nullptr;
   std::size_t trace_user = 0;  ///< this endpoint's row in `trace`
 

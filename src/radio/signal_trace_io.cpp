@@ -72,9 +72,8 @@ std::vector<double> record_signal_trace(SignalModel& model, std::int64_t slots) 
 namespace {
 
 // On-disk header, 64 bytes, little-endian fields at fixed offsets. The
-// payload (three users x slots double matrices: signal, throughput, energy,
-// each slot-major) starts at byte 64, which keeps it 8-byte aligned inside
-// the page-aligned mapping.
+// payload (the slot-major users x slots double signal matrix) starts at byte
+// 64, which keeps it 8-byte aligned inside the page-aligned mapping.
 constexpr char kTraceSetMagic[8] = {'J', 'S', 'T', 'R', 'T', 'R', 'C', '1'};
 constexpr std::uint32_t kEndianTag = 0x01020304;
 constexpr std::size_t kHeaderBytes = 64;
@@ -142,7 +141,7 @@ HeaderFields validate_header(const std::string& path,
   if (f.endian_tag != kEndianTag) reject("foreign endianness");
   if (f.users == 0 || f.slots <= 0) reject("degenerate dimensions");
   const std::uint64_t expected_payload =
-      3 * sizeof(double) * f.users * static_cast<std::uint64_t>(f.slots);
+      sizeof(double) * f.users * static_cast<std::uint64_t>(f.slots);
   if (f.payload_bytes != expected_payload) {
     reject("payload size disagrees with dimensions");
   }
@@ -214,9 +213,7 @@ class FdGuard {
 
 void save_trace_set(const std::string& path, const SignalTraceSet& set,
                     std::uint64_t fingerprint) {
-  require(set.link_derived(), "refusing to persist an underived trace set");
-  const std::size_t cells = set.users() * checked_size(set.slots());
-  const std::size_t matrix_bytes = cells * sizeof(double);
+  const std::size_t matrix_bytes = set.total_bytes();
 
   HeaderFields f;
   f.version = kTraceSetFileVersion;
@@ -224,11 +221,8 @@ void save_trace_set(const std::string& path, const SignalTraceSet& set,
   f.fingerprint = fingerprint;
   f.users = set.users();
   f.slots = set.slots();
-  f.payload_bytes = 3 * matrix_bytes;
-  std::uint64_t checksum = xxh64(set.signal_data(), matrix_bytes);
-  checksum = xxh64(set.throughput_data(), matrix_bytes, checksum);
-  checksum = xxh64(set.energy_data(), matrix_bytes, checksum);
-  f.payload_checksum = checksum;
+  f.payload_bytes = matrix_bytes;
+  f.payload_checksum = xxh64(set.signal_data(), matrix_bytes);
   unsigned char header[kHeaderBytes];
   encode_header(header, f);
 
@@ -247,8 +241,6 @@ void save_trace_set(const std::string& path, const SignalTraceSet& set,
     };
     write_bytes(header, sizeof(header));
     write_bytes(set.signal_data(), matrix_bytes);
-    write_bytes(set.throughput_data(), matrix_bytes);
-    write_bytes(set.energy_data(), matrix_bytes);
     out.flush();
     if (!out.good()) {
       out.close();
@@ -299,23 +291,11 @@ std::shared_ptr<const SignalTraceSet> load_trace_set(
     throw TraceFileError(path + ": trace-key fingerprint mismatch");
   }
   const unsigned char* payload = mapping.bytes() + kHeaderBytes;
-  const std::size_t matrix_bytes = f.payload_bytes / 3;
-  std::uint64_t checksum = xxh64(payload, matrix_bytes);
-  checksum = xxh64(payload + matrix_bytes, matrix_bytes, checksum);
-  checksum = xxh64(payload + 2 * matrix_bytes, matrix_bytes, checksum);
-  if (checksum != f.payload_checksum) {
+  if (xxh64(payload, f.payload_bytes) != f.payload_checksum) {
     throw TraceFileError(path + ": payload checksum mismatch (corrupt file)");
   }
-
-  const auto matrix = [&](std::size_t which) {
-    return static_cast<const double*>(
-        static_cast<const void*>(payload + which * matrix_bytes));
-  };
-  const double* signal = matrix(0);
-  const double* throughput = matrix(1);
-  const double* energy = matrix(2);
-  return SignalTraceSet::adopt_mapping(f.users, f.slots, mapping.release(),
-                                       signal, throughput, energy);
+  const auto* signal = static_cast<const double*>(static_cast<const void*>(payload));
+  return SignalTraceSet::adopt_mapping(f.users, f.slots, mapping.release(), signal);
 }
 
 }  // namespace jstream

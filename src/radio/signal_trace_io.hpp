@@ -12,7 +12,7 @@
 //  2. Binary SignalTraceSet files (`.jst`). The campaign engine's persistent
 //     tier (src/sim/trace_store) spills evicted channel matrices here and
 //     promotes them back by memory-mapping the file — the payload is the
-//     exact slot-major double layout SignalTraceSet serves to the hot collect
+//     exact slot-major signal matrix SignalTraceSet serves to the hot collect
 //     path, so a promoted set reads zero-copy straight out of the page
 //     cache. The format is versioned and checksummed: a 64-byte header pins
 //     magic, schema version, an endianness tag, the trace-key fingerprint,
@@ -59,8 +59,10 @@ class TraceFileError : public Error {
   explicit TraceFileError(const std::string& what) : Error(what) {}
 };
 
-/// Schema version this build writes and accepts.
-inline constexpr std::uint32_t kTraceSetFileVersion = 1;
+/// Schema version this build writes and accepts. Version 2 stores the signal
+/// matrix alone; version 1 files, which also carried the derived throughput
+/// and energy matrices, are rejected as an unsupported schema version.
+inline constexpr std::uint32_t kTraceSetFileVersion = 2;
 
 /// Header fields of a validated trace-set file (probe_trace_set).
 struct TraceSetFileInfo {
@@ -68,11 +70,10 @@ struct TraceSetFileInfo {
   std::uint64_t fingerprint = 0;  ///< trace-key fingerprint the payload answers to
   std::size_t users = 0;
   std::int64_t slots = 0;
-  std::size_t payload_bytes = 0;  ///< 3 matrices * 8 * users * slots
+  std::size_t payload_bytes = 0;  ///< 8 * users * slots
 };
 
-/// Writes `set` (link matrices derived) as a binary trace-set file stamped
-/// with `fingerprint`. The write is atomic-by-rename: the payload lands in a
+/// Writes `set` as a binary trace-set file stamped with `fingerprint`. The write is atomic-by-rename: the payload lands in a
 /// process-unique temp file first, so concurrent writers of the same key and
 /// readers racing a writer only ever observe complete files. Throws Error on
 /// I/O failure.

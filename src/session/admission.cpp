@@ -1,5 +1,7 @@
 #include "session/admission.hpp"
 
+#include <cmath>
+
 #include "common/error.hpp"
 #include "common/units.hpp"
 
@@ -45,6 +47,12 @@ void validate(const AdmissionConfig& config) {
     case AdmissionKind::kAcceptAll:
       return;
     case AdmissionKind::kThreshold:
+      // Finiteness first: +inf passes the range checks below and then
+      // rejects every arrival; NaN fails them, but under a range message.
+      require(std::isfinite(config.threshold.capacity_headroom),
+              "admission capacity headroom must be finite");
+      require(std::isfinite(config.threshold.max_mean_queue_s),
+              "admission queue bound must be finite");
       require(config.threshold.capacity_headroom > 0.0,
               "admission capacity headroom must be positive");
       require(config.threshold.max_mean_queue_s >= 0.0,

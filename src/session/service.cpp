@@ -74,7 +74,6 @@ ServiceSimulator::ServiceSimulator(ServiceConfig config,
   if (trace_ != nullptr) {
     require(trace_->users() == cell.users, "trace population mismatch");
     require(trace_->slots() >= cell.max_slots, "trace shorter than the horizon");
-    require(trace_->link_derived(), "trace is missing the derived link matrices");
   }
 
   manager_ = std::make_unique<SessionManager>(cell, tail_flush_slots(cell));
@@ -223,14 +222,19 @@ ServiceResult ServiceSimulator::run_zero_arrival() {
   require(batch_scheduler_ != nullptr, "service simulator already ran");
   SessionTelemetry::instance().runs.add();
   const ScenarioConfig& cell = config_.cell;
-  Simulator simulator(cell, std::move(batch_scheduler_), mode_, trace_);
+  // One draw serves both the batch run's faults and the abort slots below.
+  std::shared_ptr<const FaultSchedule> faults;
+  if (cell.faults.any()) {
+    faults = std::make_shared<const FaultSchedule>(make_fault_schedule(cell));
+  }
+  Simulator simulator(cell, std::move(batch_scheduler_), mode_, trace_, faults);
   ServiceResult result;
   result.run = simulator.run(keep_series_);
 
   // Derive the session view from the batch run: every user is one offered
   // and admitted session; completions come from the per-user totals, aborts
-  // from the (pure, replayable) fault schedule. Steady-state averages span
-  // the full horizon — a batch run has no fill transient to exclude.
+  // from the fault schedule the run used. Steady-state averages span the
+  // full horizon — a batch run has no fill transient to exclude.
   const RunMetrics& run = result.run;
   ServiceMetrics& s = result.service;
   s.slots_run = run.slots_run;
@@ -240,16 +244,11 @@ ServiceResult ServiceSimulator::run_zero_arrival() {
   s.admitted = s.offered;
   s.measured_slots = run.slots_run;
 
-  std::vector<std::int64_t> abort_slot(cell.users, UserEndpoint::kNeverSlot);
-  if (cell.faults.any()) {
-    const FaultSchedule schedule = make_fault_schedule(cell);
-    for (std::size_t i = 0; i < cell.users; ++i) {
-      abort_slot[i] = schedule.departure_slot(i);
-    }
-  }
   for (std::size_t i = 0; i < run.per_user.size(); ++i) {
     const UserTotals& user = run.per_user[i];
-    const bool aborted = abort_slot[i] < run.slots_run && !user.playback_finished;
+    const std::int64_t abort_slot =
+        faults != nullptr ? faults->departure_slot(i) : UserEndpoint::kNeverSlot;
+    const bool aborted = abort_slot < run.slots_run && !user.playback_finished;
     s.concurrency_sum += as_double(user.session_slots);
     s.active_user_slots += user.session_slots;
     s.rebuffer_sum_s += user.rebuffer_s;

@@ -214,7 +214,8 @@ void MetricsCollector::record_slot(const SlotContext& ctx, const SlotOutcome& ou
     } else if (info.playback_done && !info.departed) {
       user.playback_finished = true;
     }
-    if (outcome.need_kb[i] > 0.0) {
+    // Fairness shares feed only the per-slot series.
+    if (keep_series_ && outcome.need_kb[i] > 0.0) {
       shares_.push_back(outcome.kb[i] / outcome.need_kb[i]);
     }
   }

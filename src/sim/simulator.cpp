@@ -44,7 +44,6 @@ Simulator::Simulator(ScenarioConfig config, std::unique_ptr<Scheduler> scheduler
   if (trace_ != nullptr) {
     require(trace_->users() == config_.users, "trace population mismatch");
     require(trace_->slots() >= config_.max_slots, "trace shorter than the horizon");
-    require(trace_->link_derived(), "trace is missing the derived link matrices");
   }
   if (faults_ != nullptr) {
     require(faults_->users() == config_.users, "fault schedule population mismatch");

@@ -20,9 +20,9 @@ class Simulator {
   /// Takes ownership of the scheduler. `mode` is recorded on the framework
   /// for introspection; it does not alter behaviour. `trace` optionally
   /// supplies the precomputed channel substrate (campaign engine): when set
-  /// it must cover the scenario (same population, >= max_slots slots, link
-  /// matrices derived) and the run reads signals from it instead of driving
-  /// the per-endpoint SignalModels — bit-identical results either way.
+  /// it must cover the scenario (same population, >= max_slots slots) and
+  /// the run reads signals from it instead of driving the per-endpoint
+  /// SignalModels — bit-identical results either way.
   /// `faults` optionally supplies the scenario's fault schedule, drawn once
   /// and shared by a campaign's cells; it must be make_fault_schedule's
   /// result for this seed, population, horizon and fault config (each

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "sim/trace_store.hpp"
 #include "telemetry/registry.hpp"
@@ -52,21 +51,6 @@ std::uint64_t hash_trace(const std::vector<double>& trace) noexcept {
   return hash;
 }
 
-// Behavioural fingerprint: two link models that answer identically at the
-// probe signals produce bit-identical derived matrices over the clamped
-// signal range, so they can share cache entries even when the shared_ptr
-// identities differ (every paper_scenario() builds a fresh LinkModel).
-std::uint64_t link_fingerprint(const LinkModel& link) {
-  require(link.throughput != nullptr && link.power != nullptr,
-          "link model must be complete");
-  std::uint64_t hash = kFnvOffset;
-  for (double dbm : {-110.0, -95.0, -80.0, -65.0, -50.0}) {
-    fnv_mix(hash, link.throughput->throughput_kbps(dbm));
-    fnv_mix(hash, link.power->energy_per_kb(dbm));
-  }
-  return hash;
-}
-
 bool same(const SineSignalParams& a, const SineSignalParams& b) noexcept {
   return a.min_dbm == b.min_dbm && a.max_dbm == b.max_dbm &&
          a.period_slots == b.period_slots && a.phase_radians == b.phase_radians &&
@@ -86,7 +70,6 @@ bool TraceKey::operator==(const TraceKey& other) const noexcept {
   return users == other.users && slots == other.slots && seed == other.seed &&
          kind == other.kind && vbr == other.vbr && same(sine, other.sine) &&
          same(gauss_markov, other.gauss_markov) && trace_hash == other.trace_hash &&
-         link_fingerprint == other.link_fingerprint &&
          fault_fingerprint == other.fault_fingerprint &&
          session_fingerprint == other.session_fingerprint &&
          forecast_fingerprint == other.forecast_fingerprint;
@@ -110,13 +93,9 @@ std::uint64_t trace_key_fingerprint(const TraceKey& key) noexcept {
   fnv_mix(hash, key.gauss_markov.min_dbm);
   fnv_mix(hash, key.gauss_markov.max_dbm);
   fnv_mix(hash, key.trace_hash);
-  fnv_mix(hash, key.link_fingerprint);
   fnv_mix(hash, key.fault_fingerprint);
   fnv_mix(hash, key.session_fingerprint);
-  // Post-format fields fold in only when active: an inactive forecast spec
-  // leaves the fingerprint — and therefore every existing TraceStore file
-  // name — byte-identical to the pre-field fold (see the header contract).
-  if (key.forecast_fingerprint != 0) fnv_mix(hash, key.forecast_fingerprint);
+  fnv_mix(hash, key.forecast_fingerprint);
   return hash;
 }
 
@@ -142,7 +121,6 @@ TraceKey make_trace_key(const ScenarioConfig& config,
   key.trace_hash = config.signal_kind == SignalKind::kTrace
                        ? hash_trace(config.trace_dbm)
                        : 0;
-  key.link_fingerprint = link_fingerprint(config.link);
   key.fault_fingerprint = fault_fingerprint(config.faults);
   key.session_fingerprint = session_fingerprint;
   key.forecast_fingerprint = forecast_fingerprint(config.forecast);
@@ -160,8 +138,7 @@ std::shared_ptr<const SignalTraceSet> generate_signal_trace_set(
   std::vector<SignalModel*> models;
   models.reserve(endpoints.size());
   for (UserEndpoint& endpoint : endpoints) models.push_back(endpoint.signal.get());
-  return SignalTraceSet::generate(models, config.max_slots, config.link,
-                                  caller_or_shared_pool());
+  return SignalTraceSet::generate(models, config.max_slots, caller_or_shared_pool());
 }
 
 TraceCache::TraceCache(std::size_t max_bytes) : max_bytes_(max_bytes) {}

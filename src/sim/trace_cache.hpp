@@ -5,11 +5,12 @@
 // generation per (scenario, seed) and hands every cell the same immutable
 // std::shared_ptr<const SignalTraceSet>. Keys capture exactly the
 // ScenarioConfig fields that influence the signal matrix — the population,
-// horizon, seed, RSSI process parameters, the VBR flag (it changes the
-// per-user RNG draw order ahead of the signal-model construction), and a
-// behavioural fingerprint of the link model (probed, not pointer-compared,
-// so two configs holding separately-constructed paper link models share
-// entries). Fault intensities also join the key, as a fingerprint that is 0
+// horizon, seed, RSSI process parameters, and the VBR flag (it changes the
+// per-user RNG draw order ahead of the signal-model construction). The link
+// model is not part of the key: a trace stores sig_i(n) only, and the
+// collector evaluates the Definition 3/4 fits per slot, so scenarios that
+// differ only in their link model share one entry. Fault intensities join
+// the key, as a fingerprint that is 0
 // when faults are inactive: they never alter the matrices (faults apply at
 // collect time, post-trace), but the isolation guarantees a faulted campaign
 // and an unfaulted one can never serve each other's entries.
@@ -43,8 +44,7 @@ struct TraceKey {
   bool vbr = false;
   SineSignalParams sine;
   GaussMarkovSignalModel::Params gauss_markov;
-  std::uint64_t trace_hash = 0;      ///< FNV over trace_dbm bit patterns
-  std::uint64_t link_fingerprint = 0;  ///< hash of link-fit probes
+  std::uint64_t trace_hash = 0;  ///< FNV over trace_dbm bit patterns
   /// fault_fingerprint(config.faults): 0 when faults are inactive. Faults are
   /// applied at collect time, so the matrices of a faulted and an unfaulted
   /// run are bit-identical — the key still separates them so a faulted
@@ -71,11 +71,9 @@ struct TraceKey {
 /// Stable 64-bit identity of a trace key: an FNV-1a fold over every key
 /// field. This is the fingerprint the persistent tier (TraceStore) names
 /// files by and stamps into trace-set headers, so its value is part of the
-/// on-disk contract — changing the fold invalidates every stored file (bump
-/// kTraceSetFileVersion if that ever becomes necessary). Fields added after
-/// the format shipped (forecast_fingerprint) fold in only when nonzero, so
-/// every pre-existing key — and every `.jst` file named from one — keeps its
-/// fingerprint byte-identical.
+/// on-disk contract — changing the fold invalidates every stored file, so it
+/// changes only together with kTraceSetFileVersion (version 2 dropped the
+/// link-model fingerprint from the fold).
 [[nodiscard]] std::uint64_t trace_key_fingerprint(const TraceKey& key) noexcept;
 
 /// Hash functor for unordered_map<TraceKey, ...>.
@@ -89,11 +87,11 @@ struct TraceKeyHash {
                                       std::uint64_t session_fingerprint = 0);
 
 /// Generates the full trace set for a scenario: builds the per-user signal
-/// models exactly as build_endpoints does (same RNG stream order), walks
-/// them over [0, max_slots), and derives the link matrices. Bit-identical to
-/// the incremental per-slot path by construction. Users, then slot rows, are
-/// spread with parallel_for over caller_or_shared_pool(): the caller's own
-/// pool when it is a pool worker, else the process-wide shared pool.
+/// models exactly as build_endpoints does (same RNG stream order) and walks
+/// them over [0, max_slots). Bit-identical to the incremental per-slot path
+/// by construction. Users are spread with parallel_for over
+/// caller_or_shared_pool(): the caller's own pool when it is a pool worker,
+/// else the process-wide shared pool.
 [[nodiscard]] std::shared_ptr<const SignalTraceSet> generate_signal_trace_set(
     const ScenarioConfig& config);
 

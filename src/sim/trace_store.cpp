@@ -54,7 +54,7 @@ bool TraceStore::contains(std::uint64_t fingerprint) const {
 
 bool TraceStore::put(std::uint64_t fingerprint, const SignalTraceSet& set) {
   // Idempotent: equal fingerprints imply bit-identical payloads, so the first
-  // complete file wins and later writers skip the (48 MB-per-entry) I/O.
+  // complete file wins and later writers skip the (16 MB per N = 200 entry) I/O.
   // Racing writers that both miss this check still converge — save_trace_set
   // renames a complete temp file into place atomically.
   if (contains(fingerprint)) return false;

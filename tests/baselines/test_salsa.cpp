@@ -50,6 +50,24 @@ TEST(Salsa, PanicsWhenBufferNearlyEmpty) {
   EXPECT_GT(decide(scheduler, make_context(users)).units[0], 0);
 }
 
+TEST(Salsa, PricesTheSnapshotsCachedFit) {
+  // SALSA reads the per-KB cost the collector cached for the slot, not a
+  // fresh model evaluation: a snapshot whose cached cost jumped defers even
+  // though the signal did not move.
+  SalsaScheduler scheduler;
+  scheduler.reset(1);
+  std::vector<TestUser> users{TestUser{-60.0, 400.0}};
+  users[0].buffer_s = 10.0;
+  for (std::int64_t slot = 0; slot < 50; ++slot) {
+    (void)decide(scheduler, make_context(users, 20000.0, SlotParams{}, slot));
+  }
+  SlotContext ctx = make_context(users);
+  EXPECT_GT(decide(scheduler, ctx).units[0], 0);  // same cost: transmits
+  ctx.users[0].energy_per_kb *= 4.0;
+  ctx.finalize();
+  EXPECT_EQ(decide(scheduler, ctx).units[0], 0);
+}
+
 TEST(Salsa, FillsTowardTargetBuffer) {
   SalsaScheduler::Params params;
   params.target_buffer_s = 15.0;

@@ -64,7 +64,7 @@ TEST(TraceStoreConcurrent, RacingPutsAndLoadsConverge) {
             store.try_load(fingerprints[s], sets[s]->users(), sets[s]->slots());
         if (loaded != nullptr) {
           EXPECT_EQ(loaded->signal_dbm(0, 0), sets[s]->signal_dbm(0, 0));
-          EXPECT_EQ(loaded->energy_per_kb(3, 79), sets[s]->energy_per_kb(3, 79));
+          EXPECT_EQ(loaded->signal_dbm(3, 79), sets[s]->signal_dbm(3, 79));
         }
       }
     });
@@ -96,8 +96,8 @@ TEST(TraceStoreConcurrent, CacheEvictSpillPromoteRaceStaysConsistent) {
         const auto seed = static_cast<std::uint64_t>((t + round) % 4);
         const auto set = cache.get_or_generate(small_scenario(seed));
         ASSERT_NE(set, nullptr);
-        EXPECT_TRUE(set->link_derived());
         EXPECT_EQ(set->users(), probe.users);
+        EXPECT_EQ(set->slots(), probe.max_slots);
       }
     });
   }

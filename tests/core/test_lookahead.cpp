@@ -46,6 +46,20 @@ TEST(Lookahead, PrefetchesAtTheLocalPriceMinimum) {
   EXPECT_GT(decide(scheduler, ctx).total_units(), 0);
 }
 
+TEST(Lookahead, PricesNowWithTheSnapshotsCachedFit) {
+  // The current price is the per-KB cost the collector cached for the slot:
+  // raising it above every forecast price turns a prefetch into a deferral.
+  LookaheadScheduler scheduler(LookaheadConfig{}, flat_forecast());
+  scheduler.reset(1);
+  std::vector<TestUser> users{TestUser{-70.0, 400.0}};
+  users[0].buffer_s = 20.0;
+  SlotContext ctx = make_context(users);
+  EXPECT_GT(decide(scheduler, ctx).total_units(), 0);
+  ctx.users[0].energy_per_kb *= 4.0;
+  ctx.finalize();
+  EXPECT_EQ(decide(scheduler, ctx).total_units(), 0);
+}
+
 TEST(Lookahead, SafetyOverridesPrice) {
   LookaheadScheduler scheduler(LookaheadConfig{}, improving_forecast());
   scheduler.reset(1);

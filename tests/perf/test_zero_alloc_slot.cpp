@@ -60,6 +60,37 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return counted_aligned_alloc(size, static_cast<std::size_t>(align));
 }
+// The nothrow forms (telemetry's SlotTracer ring uses one) must come from the
+// same counted malloc, or their blocks would reach the free()-based deletes
+// below from another allocator (an alloc-dealloc mismatch under ASan).
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new(std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+  try {
+    return counted_aligned_alloc(size, static_cast<std::size_t>(align));
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+  try {
+    return counted_aligned_alloc(size, static_cast<std::size_t>(align));
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
 void operator delete(void* ptr) noexcept { std::free(ptr); }
 void operator delete[](void* ptr) noexcept { std::free(ptr); }
 void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
@@ -68,6 +99,14 @@ void operator delete(void* ptr, std::align_val_t) noexcept { std::free(ptr); }
 void operator delete[](void* ptr, std::align_val_t) noexcept { std::free(ptr); }
 void operator delete(void* ptr, std::size_t, std::align_val_t) noexcept { std::free(ptr); }
 void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept { std::free(ptr); }
+void operator delete(void* ptr, const std::nothrow_t&) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, const std::nothrow_t&) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
+void operator delete[](void* ptr, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
 
 namespace jstream {
 namespace {
@@ -246,14 +285,13 @@ TEST(ZeroAllocSlot, ServiceSessionReleaseIsAllocationFree) {
 }
 
 TEST(ZeroAllocSlot, TracedSlotPathIsAllocationFree) {
-  // Campaign path: endpoints read the precomputed SoA matrices instead of
+  // Campaign path: endpoints read the precomputed signal matrix instead of
   // driving their SignalModels — still zero allocations per slot.
   auto endpoints = make_endpoints({-65.0, -75.0, -85.0, -95.0, -105.0}, 400.0, 1e9);
   SignalTraceSet trace(endpoints.size(), /*slots=*/300);
   for (std::size_t user = 0; user < endpoints.size(); ++user) {
     trace.fill_user(user, *endpoints[user].signal);
   }
-  trace.derive_link(make_paper_link_model());
   for (std::size_t user = 0; user < endpoints.size(); ++user) {
     endpoints[user].attach_trace(&trace, user);
   }

@@ -15,7 +15,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "radio/link_model.hpp"
 #include "radio/signal_model.hpp"
 
 namespace jstream {
@@ -64,50 +63,30 @@ TEST(SignalTraceSet, ConstantBatchBitIdenticalToIncremental) {
   expect_batch_matches_incremental(batch, incremental);
 }
 
-TEST(SignalTraceSet, DeriveLinkMatchesModelEvaluations) {
-  GaussMarkovSignalModel::Params params;
-  const Rng rng(5);
-  GaussMarkovSignalModel model(params, rng.split(1));
-  SignalTraceSet set(/*users=*/1, kSlots);
-  set.fill_user(0, model);
-  EXPECT_FALSE(set.link_derived());
-
-  const LinkModel link = make_paper_link_model();
-  set.derive_link(link);
-  ASSERT_TRUE(set.link_derived());
-  for (std::int64_t slot = 0; slot < kSlots; ++slot) {
-    const double sig = set.signal_dbm(0, slot);
-    EXPECT_EQ(set.throughput_kbps(0, slot), link.throughput->throughput_kbps(sig));
-    EXPECT_EQ(set.energy_per_kb(0, slot), link.power->energy_per_kb(sig));
-  }
-}
-
 TEST(SignalTraceSet, SlotMajorLayoutAndAccounting) {
   SignalTraceSet set(/*users=*/3, /*slots=*/5);
   // index() is slot-major: consecutive users of one slot are adjacent.
   EXPECT_EQ(set.index(0, 0), 0u);
   EXPECT_EQ(set.index(2, 0), 2u);
   EXPECT_EQ(set.index(0, 1), 3u);
-  EXPECT_EQ(set.total_bytes(), 3u * 8u * 3u * 5u);
+  // One matrix of sig_i(n): 8 bytes per cell, no derived link matrices.
+  EXPECT_EQ(set.total_bytes(), 8u * 3u * 5u);
   EXPECT_EQ(SignalTraceSet::estimate_bytes(3, 5), set.total_bytes());
 }
 
 TEST(SignalTraceSet, ConstructedSetReadsZeroUntilFilled) {
   // The public constructor hands out storage for the caller to fill, so no
-  // cell may read anything but 0 before fill_user / derive_link write it.
+  // cell may read anything but 0 before fill_user writes it.
   const SignalTraceSet set(/*users=*/7, /*slots=*/300);
   const std::size_t cells = 7 * 300;
   for (std::size_t i = 0; i < cells; ++i) {
     ASSERT_EQ(set.signal_data()[i], 0.0) << i;
-    ASSERT_EQ(set.throughput_data()[i], 0.0) << i;
-    ASSERT_EQ(set.energy_data()[i], 0.0) << i;
   }
 }
 
 TEST(SignalTraceSet, GenerateEqualsTheSerialWalkByteForByte) {
   constexpr std::size_t kUsers = 5;
   const Rng rng(77);
-  const LinkModel link = make_paper_link_model();
   std::vector<std::unique_ptr<SignalModel>> parallel_models;
   SignalTraceSet serial(kUsers, kSlots);
   for (std::size_t user = 0; user < kUsers; ++user) {
@@ -117,23 +96,18 @@ TEST(SignalTraceSet, GenerateEqualsTheSerialWalkByteForByte) {
         std::make_unique<GaussMarkovSignalModel>(GaussMarkovSignalModel::Params{},
                                                  rng.split(user)));
   }
-  serial.derive_link(link);
 
   std::vector<SignalModel*> models;
   for (const auto& model : parallel_models) models.push_back(model.get());
   ThreadPool pool(3);
   const std::shared_ptr<const SignalTraceSet> generated =
-      SignalTraceSet::generate(models, kSlots, link, pool);
-  ASSERT_TRUE(generated->link_derived());
+      SignalTraceSet::generate(models, kSlots, pool);
   ASSERT_EQ(generated->users(), kUsers);
-  const std::size_t bytes = kUsers * static_cast<std::size_t>(kSlots) * sizeof(double);
-  EXPECT_EQ(std::memcmp(generated->signal_data(), serial.signal_data(), bytes), 0);
-  EXPECT_EQ(std::memcmp(generated->throughput_data(), serial.throughput_data(), bytes), 0);
-  EXPECT_EQ(std::memcmp(generated->energy_data(), serial.energy_data(), bytes), 0);
+  ASSERT_EQ(generated->total_bytes(), serial.total_bytes());
+  EXPECT_EQ(std::memcmp(generated->signal_data(), serial.signal_data(), serial.total_bytes()),
+            0);
 
-  const LinkModel incomplete;
-  EXPECT_THROW((void)SignalTraceSet::generate(models, kSlots, incomplete, pool), Error);
-  EXPECT_THROW((void)SignalTraceSet::generate({}, kSlots, link, pool), Error);
+  EXPECT_THROW((void)SignalTraceSet::generate({}, kSlots, pool), Error);
 }
 
 TEST(SignalTraceSet, RejectsInvalidUse) {
@@ -143,9 +117,7 @@ TEST(SignalTraceSet, RejectsInvalidUse) {
   ConstantSignalModel model(-70.0);
   EXPECT_THROW(set.fill_user(1, model), Error);
   EXPECT_THROW((void)set.signal_dbm(0, 4), Error);
-  // Derived accessors refuse to serve before derive_link.
-  set.fill_user(0, model);
-  EXPECT_THROW((void)set.throughput_kbps(0, 0), Error);
+  EXPECT_THROW((void)set.signal_dbm(0, -1), Error);
 }
 
 }  // namespace

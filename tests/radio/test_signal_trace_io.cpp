@@ -8,7 +8,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "radio/link_model.hpp"
 
 namespace jstream {
 namespace {
@@ -17,7 +16,7 @@ std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
-// A small derived trace set with varied, reproducible content.
+// A small trace set with varied, reproducible content.
 SignalTraceSet make_set(std::size_t users = 3, std::int64_t slots = 17) {
   SignalTraceSet set(users, slots);
   SineSignalParams params;
@@ -27,7 +26,6 @@ SignalTraceSet make_set(std::size_t users = 3, std::int64_t slots = 17) {
     SineSignalModel model(params, rng.split(user));
     set.fill_user(user, model);
   }
-  set.derive_link(make_paper_link_model());
   return set;
 }
 
@@ -107,16 +105,15 @@ TEST(TraceSetFile, RoundTripsBitExactAndZeroCopy) {
       load_trace_set(path, fingerprint);
   ASSERT_NE(loaded, nullptr);
   EXPECT_TRUE(loaded->mapped());
-  EXPECT_TRUE(loaded->link_derived());
   ASSERT_EQ(loaded->users(), set.users());
   ASSERT_EQ(loaded->slots(), set.slots());
   for (std::size_t user = 0; user < set.users(); ++user) {
     for (std::int64_t slot = 0; slot < set.slots(); ++slot) {
       EXPECT_EQ(loaded->signal_dbm(user, slot), set.signal_dbm(user, slot));
-      EXPECT_EQ(loaded->throughput_kbps(user, slot), set.throughput_kbps(user, slot));
-      EXPECT_EQ(loaded->energy_per_kb(user, slot), set.energy_per_kb(user, slot));
     }
   }
+  // The file is the header plus the one signal matrix, nothing derived.
+  EXPECT_EQ(std::filesystem::file_size(path), 64u + set.total_bytes());
   std::filesystem::remove(path);
 }
 
@@ -128,13 +125,10 @@ TEST(TraceSetFile, MappedSetOutlivesTheFileAndRefusesMutation) {
   // POSIX keeps the mapping alive after the unlink; reads must still work.
   std::filesystem::remove(path);
   EXPECT_EQ(loaded->signal_dbm(0, 0), set.signal_dbm(0, 0));
-  EXPECT_EQ(loaded->energy_per_kb(2, 16), set.energy_per_kb(2, 16));
+  EXPECT_EQ(loaded->signal_dbm(2, 16), set.signal_dbm(2, 16));
 }
 
-TEST(TraceSetFile, SaveRejectsUnderivedSetsAndBadPaths) {
-  SignalTraceSet underived(2, 5);
-  EXPECT_THROW(save_trace_set(temp_path("jstream_traceset_u.jst"), underived, 1),
-               Error);
+TEST(TraceSetFile, SaveRejectsBadPaths) {
   const SignalTraceSet set = make_set();
   EXPECT_THROW(save_trace_set("/no/such/dir/set.jst", set, 1), Error);
 }

@@ -2,8 +2,11 @@
 // threshold policy as pure functions of the per-arrival snapshot.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 #include "session/admission.hpp"
+#include "test_helpers.hpp"
 
 namespace jstream {
 namespace {
@@ -83,6 +86,29 @@ TEST(Admission, ValidateRejectsNonsense) {
   EXPECT_THROW(validate(config), Error);
   config.threshold.max_mean_queue_s = 0.0;
   EXPECT_NO_THROW(validate(config));
+}
+
+TEST(Admission, ValidateRejectsNonFiniteThresholdsByName) {
+  // +inf headroom would pass the range check and then reject every arrival.
+  struct Field {
+    double ThresholdAdmissionConfig::*member;
+    const char* message;
+  };
+  const Field fields[] = {
+      {&ThresholdAdmissionConfig::capacity_headroom,
+       "admission capacity headroom must be finite"},
+      {&ThresholdAdmissionConfig::max_mean_queue_s, "admission queue bound must be finite"}};
+  for (const Field& field : fields) {
+    for (const double bad : testing::kNonFinite) {
+      AdmissionConfig config;
+      config.kind = AdmissionKind::kThreshold;
+      config.threshold.*field.member = bad;
+      const std::string error = testing::error_message([&] { validate(config); });
+      EXPECT_NE(error.find(field.message), std::string::npos)
+          << field.message << ", value " << bad << ": got \"" << error << "\"";
+      EXPECT_THROW((void)make_admission_controller(config), Error);
+    }
+  }
 }
 
 }  // namespace

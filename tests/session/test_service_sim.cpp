@@ -8,6 +8,7 @@
 #include "baselines/factory.hpp"
 #include "common/error.hpp"
 #include "session/service.hpp"
+#include "telemetry/registry.hpp"
 #include "common/units.hpp"
 
 namespace jstream {
@@ -20,6 +21,10 @@ ScenarioConfig service_cell(std::size_t users = 6, std::uint64_t seed = 321) {
   cell.video_max_mb = 4.0;
   return cell;
 }
+
+/// service_digest of ZeroArrivalFaultedRunDrawsItsScheduleOnce's run, as the
+/// two-draw implementation (schedule drawn again for the abort slots) left it.
+constexpr std::uint64_t kZeroArrivalFaultedDigest = 0xc47a6a5defb7a5d9ULL;
 
 ServiceConfig poisson_service(double rate, std::int64_t warmup = 0) {
   ServiceConfig config;
@@ -109,6 +114,22 @@ TEST(ServiceSimulator, ZeroArrivalConfigReproducesTheBatchRunBitForBit) {
   EXPECT_EQ(service.service.completed +
                 service.service.aborted + service.service.in_flight_at_end,
             service.service.admitted);
+}
+
+TEST(ServiceSimulator, ZeroArrivalFaultedRunDrawsItsScheduleOnce) {
+  // The batch run's fault hook and the derived abort count share one draw.
+  ServiceConfig config;
+  config.cell = service_cell();
+  config.cell.faults.outage_rate_per_kslot = 8.0;
+  config.cell.faults.staleness_rate_per_kslot = 10.0;
+  config.cell.faults.departure_fraction = 0.5;
+  const telemetry::Counter& schedules =
+      telemetry::global_registry().counter("fault.schedules");
+  const std::int64_t drawn_before = schedules.value();
+  const ServiceResult result = simulate_service(config, make_scheduler("ema"));
+  EXPECT_EQ(schedules.value() - drawn_before, 1);
+  EXPECT_GT(result.service.aborted, 0);
+  EXPECT_EQ(service_digest(result), kZeroArrivalFaultedDigest);
 }
 
 TEST(ServiceSimulator, ThresholdAdmissionRejectsUnderOverload) {

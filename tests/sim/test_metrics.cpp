@@ -127,6 +127,37 @@ TEST(Metrics, SeriesCanBeDisabled) {
   EXPECT_EQ(metrics.slots_run, 1);  // aggregates still collected
 }
 
+TEST(Metrics, SeriesOffKeepsEveryAggregate) {
+  // Without series the fairness shares are skipped; every total is unchanged.
+  MetricsCollector with_series(2, /*keep_series=*/true);
+  MetricsCollector without(2, /*keep_series=*/false);
+  const SlotContext ctx = make_context({TestUser{}, TestUser{}});
+  SlotOutcome outcome = make_outcome(2);
+  outcome.units = {2, 1};
+  outcome.kb = {200.0, 100.0};
+  outcome.need_kb = {400.0, 300.0};
+  outcome.trans_mj = {90.0, 60.0};
+  outcome.tail_mj = {0.0, 5.0};
+  outcome.rebuffer_s = {0.25, 0.5};
+  for (int i = 0; i < 3; ++i) {
+    with_series.record_slot(ctx, outcome);
+    without.record_slot(ctx, outcome);
+  }
+  const RunMetrics a = with_series.finish();
+  const RunMetrics b = without.finish();
+  EXPECT_EQ(a.slot_fairness.size(), 3u);
+  EXPECT_TRUE(b.slot_fairness.empty());
+  EXPECT_EQ(a.slots_run, b.slots_run);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(a.per_user[i].trans_mj, b.per_user[i].trans_mj);
+    EXPECT_EQ(a.per_user[i].tail_mj, b.per_user[i].tail_mj);
+    EXPECT_EQ(a.per_user[i].delivered_kb, b.per_user[i].delivered_kb);
+    EXPECT_EQ(a.per_user[i].rebuffer_s, b.per_user[i].rebuffer_s);
+    EXPECT_EQ(a.per_user[i].tx_slots, b.per_user[i].tx_slots);
+    EXPECT_EQ(a.per_user[i].session_slots, b.per_user[i].session_slots);
+  }
+}
+
 TEST(Metrics, RejectsSizeMismatch) {
   MetricsCollector collector(2);
   const SlotContext ctx = make_context({TestUser{}});

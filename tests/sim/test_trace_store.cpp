@@ -7,10 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
+#include "common/units.hpp"
+#include "radio/link_model.hpp"
+#include "radio/signal_trace_io.hpp"
 #include "sim/campaign.hpp"
 #include "sim/scenario.hpp"
 #include "sim/trace_cache.hpp"
@@ -42,13 +48,42 @@ ScenarioConfig small_scenario(std::uint64_t seed = 21) {
 void expect_identical_sets(const SignalTraceSet& a, const SignalTraceSet& b) {
   ASSERT_EQ(a.users(), b.users());
   ASSERT_EQ(a.slots(), b.slots());
-  for (std::size_t user = 0; user < a.users(); ++user) {
-    for (std::int64_t slot = 0; slot < a.slots(); ++slot) {
-      EXPECT_EQ(a.signal_dbm(user, slot), b.signal_dbm(user, slot));
-      EXPECT_EQ(a.throughput_kbps(user, slot), b.throughput_kbps(user, slot));
-      EXPECT_EQ(a.energy_per_kb(user, slot), b.energy_per_kb(user, slot));
-    }
+  EXPECT_EQ(std::memcmp(a.signal_data(), b.signal_data(), a.total_bytes()), 0);
+}
+
+/// Writes `set` as a version-1 trace-set file: the layout this store read
+/// before version 2, whose payload also carried the derived throughput and
+/// energy matrices after the signal matrix. Header and payload checksums are
+/// valid, so only the schema version can reject it.
+void write_version_one_file(const std::string& path, const SignalTraceSet& set,
+                            std::uint64_t fingerprint) {
+  const std::size_t matrix_bytes = set.total_bytes();
+  std::vector<double> payload(3 * set.users() * checked_size(set.slots()));
+  std::memcpy(payload.data(), set.signal_data(), matrix_bytes);
+  const LinkModel link = make_paper_link_model();
+  const std::size_t cells = set.users() * checked_size(set.slots());
+  for (std::size_t i = 0; i < cells; ++i) {
+    payload[cells + i] = link.throughput->throughput_kbps(set.signal_data()[i]);
+    payload[2 * cells + i] = link.power->energy_per_kb(set.signal_data()[i]);
   }
+  unsigned char header[64] = {};
+  const auto put = [&header](std::size_t offset, auto value) {
+    std::memcpy(header + offset, &value, sizeof(value));
+  };
+  std::memcpy(header, "JSTRTRC1", 8);
+  put(8, std::uint32_t{1});           // schema version
+  put(12, std::uint32_t{0x01020304});  // endianness tag
+  put(16, fingerprint);
+  put(24, std::uint64_t{set.users()});
+  put(32, set.slots());
+  put(40, std::uint64_t{3 * matrix_bytes});
+  put(48, xxh64(payload.data(), 3 * matrix_bytes));
+  put(56, xxh64(header, 56));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(header), sizeof(header));
+  out.write(reinterpret_cast<const char*>(payload.data()),
+            static_cast<std::streamsize>(3 * matrix_bytes));
+  ASSERT_TRUE(out.good());
 }
 
 TEST_F(TraceStoreTest, SpillPromoteRoundTripIsBitIdentical) {
@@ -104,6 +139,36 @@ TEST_F(TraceStoreTest, DimensionDisagreementRejects) {
   ASSERT_TRUE(store.put(fp, *generate_signal_trace_set(scenario)));
   EXPECT_EQ(store.try_load(fp, scenario.users + 1, scenario.max_slots), nullptr);
   EXPECT_EQ(store.rejections(), 1u);
+}
+
+TEST_F(TraceStoreTest, VersionOneFileIsRejectedByNameAndRegenerated) {
+  TraceStore store(dir_);
+  const ScenarioConfig scenario = small_scenario();
+  const std::uint64_t fp = trace_key_fingerprint(make_trace_key(scenario));
+  const std::shared_ptr<const SignalTraceSet> reference =
+      generate_signal_trace_set(scenario);
+  write_version_one_file(store.path_for(fp), *reference, fp);
+  try {
+    (void)probe_trace_set(store.path_for(fp));
+    ADD_FAILURE() << "a version-1 file passed validation";
+  } catch (const TraceFileError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported schema version"), std::string::npos)
+        << e.what();
+  }
+
+  // The cache's miss consults the store, which drops the file; the set is
+  // regenerated, and the end-of-run spill lands a version-2 file in its place.
+  TraceCache cache;
+  cache.attach_store(&store);
+  const std::shared_ptr<const SignalTraceSet> served = cache.get_or_generate(scenario);
+  EXPECT_EQ(store.rejections(), 1u);
+  EXPECT_EQ(cache.promotions(), 0u);
+  EXPECT_EQ(cache.generations(), 1u);
+  EXPECT_FALSE(served->mapped());
+  expect_identical_sets(*reference, *served);
+  cache.spill_resident();
+  EXPECT_EQ(probe_trace_set(store.path_for(fp)).version, kTraceSetFileVersion);
+  EXPECT_EQ(probe_trace_set(store.path_for(fp)).payload_bytes, reference->total_bytes());
 }
 
 TEST_F(TraceStoreTest, RejectsUnusableDirectory) {

@@ -119,6 +119,17 @@ std::string error_message(Fn&& fn) {
   return {};
 }
 
+/// A stepwise MCS-style throughput fit that overrides only the per-value
+/// form, so callers reach it through ThroughputModel's default batch loop.
+class StepThroughputModel final : public ThroughputModel {
+ public:
+  [[nodiscard]] double throughput_kbps(double signal_dbm) const override {
+    require(signal_dbm > -120.0, "step fit has no rate below -120 dBm");
+    if (signal_dbm < -95.0) return 300.0;
+    return signal_dbm < -80.0 ? 1200.0 : 3000.0;
+  }
+};
+
 /// The two non-finite values a range check alone misses or misnames: +inf
 /// passes a lower bound, and NaN fails it under the range check's message.
 inline constexpr double kNonFinite[] = {std::numeric_limits<double>::infinity(),
