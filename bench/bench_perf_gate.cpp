@@ -22,10 +22,11 @@
 //     window. This binary replaces the global operator new to count
 //     allocations.
 //  3. Campaign gate: a 7-scheduler x 8-seed grid at N = 200 over the full
-//     10000-slot horizon, run once with per-cell trace regeneration and once
-//     through the shared trace cache. Cached results must be bit-identical,
-//     and (at the full horizon; REPRO_SLOTS runs report only) >= 3x faster.
-//     The row reports the bytes of one cached trace (its signal matrix).
+//     10000-slot horizon, run with per-cell trace regeneration and through
+//     a fresh shared trace cache in 4 alternating blocks. Every run must be
+//     bit-identical to the first, and (at the full horizon; REPRO_SLOTS runs
+//     report only) the cached mean wall time >= 3x faster. The row reports
+//     the block times and the bytes of one cached trace (its signal matrix).
 //  4. Pool scaling: the same workload shape at 4 seeds, run on one thread
 //     and on a 4-thread pool, each against a fresh cache. Both grids must
 //     hash (metrics_digest) to the same digest — enforced at every scale,
@@ -60,7 +61,7 @@
 //     schedule per key, enforced at every scale; wall times are reported,
 //     not gated.
 //
-// Results land in BENCH_PR23.json (override with --out <path>); the JSON
+// Results land in BENCH_PR26.json (override with --out <path>); the JSON
 // schema is documented in docs/PERFORMANCE.md. REPRO_SLOTS in the
 // environment shrinks every loop for smoke runs. The paper-invariant
 // validator must stay at its compiled-out-of-the-hot-path default here: the
@@ -512,6 +513,8 @@ struct CampaignResult {
   std::size_t schedulers = 0;
   std::size_t replications = 0;
   std::int64_t horizon_slots = 0;
+  std::vector<double> uncached_block_s;  ///< one wall time per block
+  std::vector<double> cached_block_s;    ///< one wall time per block
   double uncached_wall_s = 0.0;
   double cached_wall_s = 0.0;
   double speedup = 0.0;
@@ -550,6 +553,10 @@ std::vector<ExperimentSpec> gate_grid(std::int64_t horizon, std::size_t replicat
 }
 
 CampaignResult bench_campaign(std::int64_t horizon) {
+  // The two sides alternate over 4 blocks, each block flipping which goes
+  // first, and the gate divides their mean wall times, so one switch of the
+  // host's speed regime lands on both sides instead of moving the ratio.
+  // Each cached run gets a fresh cache and so generates its 8 traces.
   CampaignResult result;
   result.replications = 8;
   const std::vector<ExperimentSpec> specs = gate_grid(horizon, result.replications);
@@ -558,31 +565,32 @@ CampaignResult bench_campaign(std::int64_t horizon) {
   result.horizon_slots = horizon;
   result.bytes_per_trace = SignalTraceSet::estimate_bytes(result.users, horizon);
 
-  CampaignOptions uncached_options;
-  uncached_options.use_trace_cache = false;
-  auto start = Clock::now();
-  const std::vector<RunMetrics> uncached = run_campaign(specs, uncached_options);
-  result.uncached_wall_s = seconds_since(start);
-
-  TraceCache cache;
-  CampaignOptions cached_options;
-  cached_options.cache = &cache;
-  start = Clock::now();
-  const std::vector<RunMetrics> cached = run_campaign(specs, cached_options);
-  result.cached_wall_s = seconds_since(start);
-  result.cache_hits = cache.hits();
-  result.cache_misses = cache.misses();
+  std::vector<std::uint64_t> first;  // per-cell digests of the first run
+  for (std::size_t run = 0; run < 8; ++run) {
+    const bool cached = (run + run / 2) % 2 == 1;  // blocks UC, CU, UC, CU
+    TraceCache cache;
+    CampaignOptions options;
+    options.use_trace_cache = cached;
+    options.cache = &cache;
+    const auto start = Clock::now();
+    const std::vector<RunMetrics> cells = run_campaign(specs, options);
+    (cached ? result.cached_block_s : result.uncached_block_s)
+        .push_back(seconds_since(start));
+    if (cached) {
+      result.cache_hits = cache.hits();
+      result.cache_misses = cache.misses();
+    }
+    // The differential guarantee the cache rests on: every cell of every
+    // run bit-identical to the first run's.
+    std::vector<std::uint64_t> digests;
+    for (const RunMetrics& cell : cells) digests.push_back(metrics_digest(cell));
+    if (first.empty()) first = digests;
+    require(digests == first, "campaign cell diverged from the first run's");
+  }
+  result.uncached_wall_s = summarize(result.uncached_block_s).mean;
+  result.cached_wall_s = summarize(result.cached_block_s).mean;
   result.speedup =
       result.cached_wall_s > 0.0 ? result.uncached_wall_s / result.cached_wall_s : 0.0;
-
-  // The differential guarantee the cache rests on: every cell bit-identical.
-  require(cached.size() == uncached.size(), "campaign grids differ in size");
-  for (std::size_t i = 0; i < cached.size(); ++i) {
-    require(cached[i].slots_run == uncached[i].slots_run &&
-                cached[i].total_energy_mj() == uncached[i].total_energy_mj() &&
-                cached[i].total_rebuffer_s() == uncached[i].total_rebuffer_s(),
-            "campaign cached cell diverged from per-run regeneration");
-  }
   return result;
 }
 
@@ -1088,7 +1096,7 @@ TelemetryCostResult bench_telemetry_cost(std::int64_t horizon, std::int64_t warm
 // ---------------------------------------------------------------------------
 
 int run(int argc, const char* const* argv) {
-  std::string out_path = "BENCH_PR23.json";
+  std::string out_path = "BENCH_PR26.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--out" && i + 1 < argc) {
@@ -1181,8 +1189,12 @@ int run(int argc, const char* const* argv) {
   // REPRO_SLOTS shrinks the horizon so far that the sims dominate and the
   // ratio is meaningless; the >= 3x bar is enforced only at full scale.
   constexpr double kMinCampaignSpeedup = 3.0;
-  std::printf("campaign grid (7 schedulers x 8 seeds, N=200)\n");
+  std::printf("campaign grid (7 schedulers x 8 seeds, N=200, 4 alternating blocks)\n");
   const CampaignResult campaign = bench_campaign(clamp(10000));
+  for (std::size_t b = 0; b < campaign.cached_block_s.size(); ++b) {
+    std::printf("  block %zu   uncached %7.2f s   cached %7.2f s\n", b,
+                campaign.uncached_block_s[b], campaign.cached_block_s[b]);
+  }
   std::printf(
       "  uncached %7.2f s   cached %7.2f s   speedup %5.2fx   cache %llu hits / %llu misses"
       "   %.1f MB per trace\n",
@@ -1323,7 +1335,7 @@ int run(int argc, const char* const* argv) {
   std::ofstream json(out_path);
   require(json.good(), "cannot open perf-gate output file");
   json << "{\n";
-  json << "  \"schema\": \"jstream-perf-gate-v11\",\n";
+  json << "  \"schema\": \"jstream-perf-gate-v12\",\n";
   json << "  \"workload\": \"paper_scenario(users, seed=42), capacity 500 KB/s per user\",\n";
   json << "  \"gate\": {\"metric\": \"solver[0].speedup_vs_reference\", \"min_speedup\": "
        << kMinSpeedup << ", \"pass\": " << (solver_gate_pass ? "true" : "false") << "},\n";
@@ -1437,11 +1449,21 @@ int run(int argc, const char* const* argv) {
        << ", \"bit_identical\": " << (generation.bit_identical ? "true" : "false")
        << ", \"enforced\": true, \"pass\": " << (generation_pass ? "true" : "false")
        << "},\n";
+  const auto json_list = [&](const std::vector<double>& values) {
+    json << "[";
+    for (std::size_t i = 0; i < values.size(); ++i) json << (i > 0 ? ", " : "") << values[i];
+    json << "]";
+  };
   json << "  \"campaign\": {\"users\": " << campaign.users
        << ", \"schedulers\": " << campaign.schedulers
        << ", \"replications\": " << campaign.replications
        << ", \"horizon_slots\": " << campaign.horizon_slots
-       << ", \"uncached_wall_s\": " << campaign.uncached_wall_s
+       << ", \"blocks\": " << campaign.cached_block_s.size()
+       << ", \"uncached_block_wall_s\": ";
+  json_list(campaign.uncached_block_s);
+  json << ", \"cached_block_wall_s\": ";
+  json_list(campaign.cached_block_s);
+  json << ", \"uncached_wall_s\": " << campaign.uncached_wall_s
        << ", \"cached_wall_s\": " << campaign.cached_wall_s
        << ", \"speedup_cached_vs_uncached\": " << campaign.speedup
        << ", \"cache_hits\": " << campaign.cache_hits

@@ -14,7 +14,6 @@
 #include "sim/campaign.hpp"
 #include "sim/experiment.hpp"
 #include "sim/fault.hpp"
-#include "sim/sweep.hpp"
 
 namespace jstream::bench {
 
@@ -40,7 +39,7 @@ struct CommonArgs {
 /// Runs a spec grid through the campaign engine: sharded over --threads
 /// workers with every cell reading its channel from the process-wide trace
 /// cache (one generation per scenario/seed instead of one per cell). Results
-/// are order-preserving, bit-identical to run_sweep.
+/// are order-preserving, bit-identical to a serial run_experiment loop.
 [[nodiscard]] std::vector<RunMetrics> run_grid(const CommonArgs& args,
                                                std::span<const ExperimentSpec> specs,
                                                bool keep_series = false);

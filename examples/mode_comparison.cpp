@@ -7,8 +7,7 @@
 #include "baselines/factory.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
-#include "sim/experiment.hpp"
-#include "sim/sweep.hpp"
+#include "sim/campaign.hpp"
 
 using namespace jstream;
 
@@ -39,8 +38,9 @@ int main(int argc, char** argv) {
       specs.push_back(spec);
     }
 
-    const std::vector<RunMetrics> results =
-        run_sweep(specs, static_cast<std::size_t>(cli.get_int("threads")));
+    CampaignOptions options;
+    options.threads = static_cast<std::size_t>(cli.get_int("threads"));
+    const std::vector<RunMetrics> results = run_campaign(specs, options);
 
     Table table("scheduler comparison (" + std::to_string(scenario.users) + " users)",
                 {"scheduler", "PE (mJ/us)", "tail (mJ/us)", "PC (ms/us)", "fairness",

@@ -12,7 +12,7 @@
 #   3. ASan/UBSan build + full ctest       (SKIP_ASAN)
 #   4. TSan build + `ctest -L concurrency` (SKIP_TSAN)
 #   5. EMA without AVX2: decision tests    (SKIP_NOSIMD)
-#   6. smoke benches under --validate      (SKIP_SMOKE)
+#   6. smoke benches (--validate), examples (SKIP_SMOKE)
 #   7. perf gate: bench_perf_gate          (SKIP_PERF)
 #   8. jstream_lint project rules, src/    (SKIP_LINT)
 #
@@ -77,7 +77,7 @@ else
 fi
 
 if [[ "${SKIP_SMOKE:-0}" != 1 ]]; then
-  stage "6/8 smoke benches (--validate, REPRO_SLOTS=50)"
+  stage "6/8 smoke benches (--validate, REPRO_SLOTS=50) and examples"
   ctest --test-dir build --output-on-failure -L smoke
   # One figure explicitly through the campaign engine: run_grid -> run_campaign
   # shards the scheduler x population grid over the thread pool with the shared
@@ -105,11 +105,12 @@ else
 fi
 
 if [[ "${SKIP_PERF:-0}" != 1 ]]; then
-  stage "7/8 perf gate (bench_perf_gate -> BENCH_PR23.json)"
+  stage "7/8 perf gate (bench_perf_gate -> BENCH_PR26.json)"
   # Enforces the pinned regression gates: the exact-EMA solver >= 5x over the
   # paper-literal DP, exact EMA < 1 ms/slot end-to-end at N = 1000, zero
   # steady-state allocations in every slot-path row (a faulted one included),
-  # the campaign cache >= 3x on the full grid, the pooled campaign
+  # the campaign cache >= 3x on the full grid (mean wall times of four
+  # alternating blocks), the pooled campaign
   # bit-identical to one thread, shared fault schedules bit-identical to
   # per-cell draws with one draw per key, the
   # disk-warm trace-store rerun (zero regenerations always; >= 3x at full
@@ -119,7 +120,7 @@ if [[ "${SKIP_PERF:-0}" != 1 ]]; then
   # timing/scale gates turn informational (the binary still verifies solver
   # agreement, the allocation gate, and the bit-identity gates); unset it
   # for the real gate.
-  build/bench/bench_perf_gate --out build/BENCH_PR23.json
+  build/bench/bench_perf_gate --out build/BENCH_PR26.json
 else
   stage "7/8 perf gate — SKIPPED (SKIP_PERF=1)"
 fi

@@ -11,6 +11,9 @@ namespace jstream {
 EStreamerScheduler::EStreamerScheduler() : EStreamerScheduler(Params{}) {}
 
 EStreamerScheduler::EStreamerScheduler(Params params) : params_(params) {
+  // +inf would pass the checks below and make every burst's deficit infinite.
+  require(std::isfinite(params_.buffer_capacity_s),
+          "eStreamer buffer capacity must be finite");
   require(params_.resume_threshold_s >= 0.0, "resume threshold must be non-negative");
   require(params_.buffer_capacity_s > params_.resume_threshold_s,
           "buffer capacity must exceed the resume threshold");

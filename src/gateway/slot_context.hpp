@@ -20,10 +20,10 @@ namespace jstream {
 /// Cross-layer view of one user in one slot.
 ///
 /// `throughput_kbps` and `energy_per_kb` cache the link-model fits for the
-/// user's current signal. Snapshot producers (InfoCollector, the ABR
-/// simulator, test fixtures) evaluate the models once per user per slot;
-/// schedulers and the transmitter read the cached values instead of making
-/// repeated virtual model calls in their cost loops.
+/// user's current signal. Snapshot producers (InfoCollector, test fixtures)
+/// evaluate the models once per user per slot; schedulers and the
+/// transmitter read the cached values instead of making repeated virtual
+/// model calls in their cost loops.
 struct UserSlotInfo {
   bool arrived = true;          ///< session has started (see UserEndpoint::start_slot)
   bool needs_data = false;      ///< content remains to be delivered
@@ -59,9 +59,9 @@ struct UserSlotInfo {
 /// instead of striding through 100-byte AoS records.
 ///
 /// Built from `SlotContext::users` by `SlotContext::finalize()` in one linear
-/// pass; every snapshot producer (InfoCollector::collect_into, the ABR
-/// simulator, test fixtures, the fault layer's post-degrade refresh in
-/// Framework::run_slot) calls it after the AoS records settle.
+/// pass; every snapshot producer (InfoCollector::collect_into, test fixtures,
+/// the fault layer's post-degrade refresh in Framework::run_slot) calls it
+/// after the AoS records settle.
 /// InfoCollector::collect_into also stages the slot's signal lane and both
 /// link-fit lanes here before it fills the AoS records from them. Consumers
 /// guard with `soa.size() == user_count()` so a producer that skips the

@@ -15,11 +15,16 @@ ConstantSignalModel::ConstantSignalModel(double dbm) : dbm_(dbm) {
 
 double ConstantSignalModel::signal_dbm(std::int64_t /*slot*/) { return dbm_; }
 
+void validate(const SineSignalParams& params) {
+  require(std::isfinite(params.noise_stddev_db), "sine noise stddev must be finite");
+  require(params.min_dbm < params.max_dbm, "sine signal range is empty");
+  require(params.period_slots > 0.0, "sine period must be positive");
+  require(params.noise_stddev_db >= 0.0, "noise stddev must be non-negative");
+}
+
 SineSignalModel::SineSignalModel(SineSignalParams params, Rng rng)
     : params_(params), rng_(rng) {
-  require(params_.min_dbm < params_.max_dbm, "sine signal range is empty");
-  require(params_.period_slots > 0.0, "sine period must be positive");
-  require(params_.noise_stddev_db >= 0.0, "noise stddev must be non-negative");
+  validate(params_);
   last_value_ = 0.5 * (params_.min_dbm + params_.max_dbm);
 }
 
@@ -55,10 +60,16 @@ double TraceSignalModel::signal_dbm(std::int64_t slot) {
   return trace_[checked_size(slot) % trace_.size()];
 }
 
+void validate(const GaussMarkovSignalModel::Params& params) {
+  require(std::isfinite(params.mean_dbm), "Gauss-Markov mean must be finite");
+  require(std::isfinite(params.noise_stddev_db), "Gauss-Markov noise stddev must be finite");
+  require(params.rho >= 0.0 && params.rho < 1.0, "rho must be in [0,1)");
+  require(params.min_dbm < params.max_dbm, "signal range is empty");
+}
+
 GaussMarkovSignalModel::GaussMarkovSignalModel(Params params, Rng rng)
     : params_(params), rng_(rng), value_(params.mean_dbm) {
-  require(params_.rho >= 0.0 && params_.rho < 1.0, "rho must be in [0,1)");
-  require(params_.min_dbm < params_.max_dbm, "signal range is empty");
+  validate(params_);
 }
 
 double GaussMarkovSignalModel::signal_dbm(std::int64_t slot) {

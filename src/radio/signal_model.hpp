@@ -96,6 +96,11 @@ class GaussMarkovSignalModel final : public SignalModel {
   double value_;
 };
 
+/// Throw jstream::Error naming the first invalid field; non-finite values
+/// fail by name before the range checks (+inf noise would pass them).
+void validate(const SineSignalParams& params);
+void validate(const GaussMarkovSignalModel::Params& params);
+
 /// Factory signature used by scenario builders: user index -> signal model.
 using SignalModelFactory =
     std::unique_ptr<SignalModel> (*)(std::size_t user, const Rng& scenario_rng);

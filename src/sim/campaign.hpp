@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "sim/sweep.hpp"
+#include "sim/experiment.hpp"
 #include "sim/trace_cache.hpp"
 
 namespace jstream {
@@ -48,13 +48,13 @@ struct CampaignOptions {
     const ScenarioConfig& base, std::span<const CampaignSeries> series,
     std::size_t replications);
 
-/// Runs every spec on the pool (order-preserving, same contract as run_sweep)
-/// with the channel substrate shared through the trace cache. With
-/// `use_trace_cache` off each cell generates its own trace — same results,
-/// bit for bit; this is the baseline the perf gate measures against. Faulted
-/// specs share one fault schedule per distinct (seed, users, horizon,
-/// fault_fingerprint), drawn by the first cell that needs it and released
-/// when the campaign returns; results equal per-cell draws bit for bit.
+/// Runs every spec on the pool, each result bit-identical to
+/// run_experiment(spec, keep_series) and in spec order, with the channel
+/// substrate shared through the trace cache. With `use_trace_cache` off each
+/// cell generates its own full-horizon trace — same results, bit for bit;
+/// this is the baseline the perf gate measures against. Faulted specs share
+/// one fault schedule per distinct (seed, users, horizon, fault_fingerprint),
+/// drawn by the first cell that needs it and released when the campaign returns.
 [[nodiscard]] std::vector<RunMetrics> run_campaign(
     std::span<const ExperimentSpec> specs, const CampaignOptions& options = {});
 

@@ -1,10 +1,8 @@
 #include "sim/multicell.hpp"
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
-#include "sim/experiment.hpp"
-#include "sim/simulator.hpp"
 #include "common/units.hpp"
+#include "sim/campaign.hpp"
 
 namespace jstream {
 
@@ -67,17 +65,18 @@ MultiCellResult simulate_multicell(const MultiCellConfig& config,
                                    std::size_t threads) {
   require(!config.cells.empty(), "deployment needs at least one cell");
   for (const auto& cell : config.cells) validate(cell);
-  ThreadPool pool(threads);
+  // One campaign cell per base station. Each cell builds its own scheduler,
+  // so framework state cannot leak between base stations, and through the
+  // scenario-aware factory, so predictive series follow each cell's seed.
+  std::vector<ExperimentSpec> specs;
+  specs.reserve(config.cells.size());
+  for (const ScenarioConfig& cell : config.cells) {
+    specs.push_back({scheduler_name, scheduler_name, cell, options});
+  }
+  CampaignOptions campaign;
+  campaign.threads = threads;
   MultiCellResult result;
-  result.per_cell = parallel_map(pool, config.cells.size(), [&](std::size_t cell) {
-    // Each cell gets its own scheduler instance: framework state must not
-    // leak between base stations. The scenario-aware factory lets predictive
-    // series run per-cell (each cell's forecast follows its own seed).
-    return simulate(config.cells[cell],
-                    make_scheduler_for_scenario(scheduler_name, options,
-                                                config.cells[cell]),
-                    /*keep_series=*/false);
-  });
+  result.per_cell = run_campaign(specs, campaign);
   return result;
 }
 

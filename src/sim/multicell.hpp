@@ -41,8 +41,9 @@ struct MultiCellResult {
 };
 
 /// Runs `scheduler_name` (with `options`) in every cell, one independent
-/// Framework per base station, using up to `threads` workers (0 = hardware
-/// concurrency). Deterministic per cell seeds.
+/// Framework per base station, as one run_campaign grid on `threads` workers
+/// (0 = hardware concurrency). Validates every cell before any runs.
+/// Deterministic per cell seeds.
 [[nodiscard]] MultiCellResult simulate_multicell(const MultiCellConfig& config,
                                                  const std::string& scheduler_name,
                                                  const SchedulerOptions& options = {},

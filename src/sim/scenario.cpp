@@ -77,6 +77,7 @@ void validate(const ScenarioConfig& config) {
   // the run (an int64 cast of inf, a session that never ends). backhaul_kbps
   // stays exempt: +inf is the gateway's own "unlimited".
   require(std::isfinite(config.slot.tau_s), "slot length must be finite");
+  require(std::isfinite(config.slot.delta_kb), "frame size must be finite");
   require(std::isfinite(config.capacity_kbps), "capacity must be finite");
   require(std::isfinite(config.video_max_mb), "maximum video size must be finite");
   require(std::isfinite(config.bitrate_max_kbps), "maximum bitrate must be finite");
@@ -97,6 +98,8 @@ void validate(const ScenarioConfig& config) {
     require(std::isfinite(config.vbr_step_kbps), "VBR step must be finite");
     require(config.vbr_step_kbps > 0.0, "VBR step must be positive");
   }
+  if (config.signal_kind == SignalKind::kSine) validate(config.signal);
+  if (config.signal_kind == SignalKind::kGaussMarkov) validate(config.gauss_markov);
   if (config.signal_kind == SignalKind::kTrace) {
     require(!config.trace_dbm.empty(), "trace signal kind needs a trace");
   }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "baselines/factory.hpp"
 #include "common/error.hpp"
 #include "test_helpers.hpp"
 
@@ -53,6 +56,18 @@ TEST(EStreamer, RespectsCapacity) {
   const std::vector<TestUser> users(10, TestUser{-60.0, 500.0});
   const SlotContext ctx = make_context(users, /*capacity_kbps=*/2500.0);
   EXPECT_LE(decide(scheduler, ctx).total_units(), ctx.capacity_units);
+}
+
+// +inf passes the range checks and makes every burst's deficit infinite.
+TEST(EStreamer, RejectsNonFiniteCapacityByName) {
+  for (const double bad : testing::kNonFinite) {
+    SchedulerOptions options;
+    options.estreamer_capacity_s = bad;
+    const std::string error =
+        testing::error_message([&] { (void)make_scheduler("estreamer", options); });
+    EXPECT_NE(error.find("eStreamer buffer capacity must be finite"), std::string::npos)
+        << "capacity " << bad << ": got \"" << error << "\"";
+  }
 }
 
 TEST(EStreamer, RejectsBadParamsAndMissingReset) {

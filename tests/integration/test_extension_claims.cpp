@@ -3,7 +3,6 @@
 // at reduced scale.
 #include <gtest/gtest.h>
 
-#include "abr/abr_simulator.hpp"
 #include "baselines/factory.hpp"
 #include "sim/catalog.hpp"
 #include "sim/multicell.hpp"
@@ -98,23 +97,6 @@ TEST(ExtensionClaims, AdaptiveRtmaMatchesStaticWhenAnchored) {
   // behaviour: totals agree within a few percent.
   EXPECT_NEAR(tracked.total_energy_mj(), fixed.total_energy_mj(),
               0.10 * fixed.total_energy_mj());
-}
-
-TEST(ExtensionClaims, AbrBufferBasedAvoidsStallsUnderScarcity) {
-  AbrScenarioConfig scarce;
-  scarce.base = reduced(10);
-  scarce.base.capacity_kbps = 3600.0;  // ~360 KB/s per client
-  scarce.duration_min_s = 60.0;
-  scarce.duration_max_s = 120.0;
-  scarce.selector = "buffer-based";
-  const AbrRunMetrics adaptive = simulate_abr(scarce, make_scheduler("default"));
-  AbrScenarioConfig greedy_quality = scarce;
-  greedy_quality.selector = "fixed";
-  greedy_quality.ladder_kbps = {600.0};  // top quality only
-  const AbrRunMetrics fixed = simulate_abr(greedy_quality, make_scheduler("default"));
-  // Adaptation sheds quality instead of stalling.
-  EXPECT_LT(adaptive.mean_rebuffer_s(), fixed.mean_rebuffer_s());
-  EXPECT_LT(adaptive.mean_quality_kbps(), 600.0);
 }
 
 TEST(ExtensionClaims, ReplicationConfirmsTheHeadlineAcrossSeeds) {

@@ -2,9 +2,9 @@
 // running any scheduler against the precomputed trace substrate must be
 // bit-identical — slots run, every per-user total, and every per-slot series
 // — to the plain per-run path that drives the SignalModels incrementally.
-// On top of that, run_campaign must agree with run_sweep cell for cell, the
-// grid builder must order specs rep-major, and a faulted grid must draw one
-// fault schedule per key while matching a serial run_experiment loop.
+// On top of that, run_campaign must agree with a serial run_experiment loop
+// cell for cell and keep spec order, the grid builder must order specs
+// rep-major, and a faulted grid must draw one fault schedule per key.
 
 #include "sim/campaign.hpp"
 
@@ -99,8 +99,10 @@ TEST(Campaign, MatchesSweepCellForCell) {
   const std::vector<ExperimentSpec> specs =
       make_campaign_grid(small_scenario(), series, /*replications=*/2);
 
-  const std::vector<RunMetrics> swept =
-      run_sweep(specs, /*threads=*/2, /*keep_series=*/true);
+  std::vector<RunMetrics> serial;
+  for (const ExperimentSpec& spec : specs) {
+    serial.push_back(run_experiment(spec, /*keep_series=*/true));
+  }
 
   TraceCache cache;
   CampaignOptions options;
@@ -109,13 +111,67 @@ TEST(Campaign, MatchesSweepCellForCell) {
   options.cache = &cache;
   const std::vector<RunMetrics> campaign = run_campaign(specs, options);
 
-  ASSERT_EQ(campaign.size(), swept.size());
+  ASSERT_EQ(campaign.size(), serial.size());
   for (std::size_t i = 0; i < campaign.size(); ++i) {
-    expect_identical_runs(swept[i], campaign[i], specs[i].label);
+    expect_identical_runs(serial[i], campaign[i], specs[i].label);
   }
   // 2 replications over one scenario: one generation per seed, rest hits.
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.hits(), static_cast<std::uint64_t>(specs.size()) - 2u);
+}
+
+TEST(Campaign, MatchesSequentialExecution) {
+  // Uncached, multi-threaded, with short videos so sessions finish well
+  // inside the slot budget: totals must equal one run_experiment per spec.
+  ScenarioConfig scenario = paper_scenario(/*users=*/3, /*seed=*/7);
+  scenario.video_min_mb = 5.0;
+  scenario.video_max_mb = 10.0;
+  scenario.max_slots = 1500;
+  const std::vector<ExperimentSpec> specs = {
+      {"default", "default", scenario, {}},
+      {"throttling", "throttling", scenario, {}},
+  };
+  CampaignOptions options;
+  options.threads = 2;
+  const std::vector<RunMetrics> parallel = run_campaign(specs, options);
+  ASSERT_EQ(parallel.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const RunMetrics sequential = run_experiment(specs[i], /*keep_series=*/false);
+    EXPECT_GT(sequential.total_energy_mj(), 0.0) << specs[i].label;
+    EXPECT_DOUBLE_EQ(parallel[i].total_energy_mj(), sequential.total_energy_mj());
+    EXPECT_DOUBLE_EQ(parallel[i].total_rebuffer_s(), sequential.total_rebuffer_s());
+  }
+}
+
+TEST(Campaign, EmptySpecListRunsNothing) {
+  TraceCache cache;
+  CampaignOptions options;
+  options.cache = &cache;
+  EXPECT_TRUE(run_campaign({}, options).empty());
+  EXPECT_EQ(cache.hits() + cache.misses(), 0u);
+}
+
+TEST(Campaign, KeepSeriesFlagForwarded) {
+  const std::vector<ExperimentSpec> specs = {{"default", "default", small_scenario(), {}}};
+  CampaignOptions options;
+  EXPECT_TRUE(run_campaign(specs, options)[0].slot_energy_mj.empty());
+  options.keep_series = true;
+  EXPECT_FALSE(run_campaign(specs, options)[0].slot_energy_mj.empty());
+}
+
+TEST(Campaign, ResultsKeepSpecOrderAcrossPopulations) {
+  std::vector<ExperimentSpec> specs;
+  for (const std::size_t users : {2UL, 4UL, 6UL}) {
+    specs.push_back({"default", "default", small_scenario(), {}});
+    specs.back().scenario.users = users;
+  }
+  CampaignOptions options;
+  options.threads = 2;
+  const std::vector<RunMetrics> results = run_campaign(specs, options);
+  ASSERT_EQ(results.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(results[i].per_user.size(), specs[i].scenario.users);
+  }
 }
 
 TEST(Campaign, UncachedModeMatchesCachedMode) {

@@ -124,6 +124,30 @@ TEST(Scenario, NonFiniteSlotLengthIsRejected) {
                              "slot length must be finite");
 }
 
+TEST(Scenario, NonFiniteFrameSizeIsRejected) {
+  expect_non_finite_rejected([](ScenarioConfig& c, double v) { c.slot.delta_kb = v; },
+                             "frame size must be finite");
+}
+
+// +inf noise passes the range checks and pins every channel to a range end.
+TEST(Scenario, NonFiniteSignalParamsAreRejected) {
+  expect_non_finite_rejected(
+      [](ScenarioConfig& c, double v) { c.signal.noise_stddev_db = v; },
+      "sine noise stddev must be finite");
+  expect_non_finite_rejected(
+      [](ScenarioConfig& c, double v) {
+        c.signal_kind = SignalKind::kGaussMarkov;
+        c.gauss_markov.noise_stddev_db = v;
+      },
+      "Gauss-Markov noise stddev must be finite");
+  expect_non_finite_rejected(
+      [](ScenarioConfig& c, double v) {
+        c.signal_kind = SignalKind::kGaussMarkov;
+        c.gauss_markov.mean_dbm = v;
+      },
+      "Gauss-Markov mean must be finite");
+}
+
 TEST(Scenario, NonFiniteCapacityIsRejected) {
   expect_non_finite_rejected([](ScenarioConfig& c, double v) { c.capacity_kbps = v; },
                              "capacity must be finite");
