@@ -26,7 +26,10 @@
 //     a fresh shared trace cache in 4 alternating blocks. Every run must be
 //     bit-identical to the first, and (at the full horizon; REPRO_SLOTS runs
 //     report only) the cached mean wall time >= 3x faster. The row reports
-//     the block times and the bytes of one cached trace (its signal matrix).
+//     the block times, the bytes of one cached trace (its signal matrix) and
+//     the rows of each trace the cached grid filled: a cache miss's trace
+//     fills on read, so its cells fill only the rows they reach, while the
+//     uncached side still generates every cell's full horizon.
 //  4. Pool scaling: the same workload shape at 4 seeds, run on one thread
 //     and on a 4-thread pool, each against a fresh cache. Both grids must
 //     hash (metrics_digest) to the same digest — enforced at every scale,
@@ -61,7 +64,7 @@
 //     schedule per key, enforced at every scale; wall times are reported,
 //     not gated.
 //
-// Results land in BENCH_PR26.json (override with --out <path>); the JSON
+// Results land in BENCH_PR27.json (override with --out <path>); the JSON
 // schema is documented in docs/PERFORMANCE.md. REPRO_SLOTS in the
 // environment shrinks every loop for smoke runs. The paper-invariant
 // validator must stay at its compiled-out-of-the-hot-path default here: the
@@ -521,6 +524,9 @@ struct CampaignResult {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::size_t bytes_per_trace = 0;  ///< one cached trace: its signal matrix
+  /// Rows of each fill-on-read trace the cached grid filled (mean over its
+  /// traces): the part of bytes_per_trace the cells ever wrote.
+  double filled_slots_per_trace = 0.0;
 };
 
 double seconds_since(Clock::time_point start) {
@@ -579,6 +585,14 @@ CampaignResult bench_campaign(std::int64_t horizon) {
     if (cached) {
       result.cache_hits = cache.hits();
       result.cache_misses = cache.misses();
+      // One cell per seed finds its trace: the lookups come after the
+      // counts above, so they add hits nobody reads.
+      double filled = 0.0;
+      for (std::size_t rep = 0; rep < result.replications; ++rep) {
+        filled += as_double(
+            cache.get_or_generate(specs[rep * result.schedulers].scenario)->filled_slots());
+      }
+      result.filled_slots_per_trace = filled / as_double(result.replications);
     }
     // The differential guarantee the cache rests on: every cell of every
     // run bit-identical to the first run's.
@@ -1096,7 +1110,7 @@ TelemetryCostResult bench_telemetry_cost(std::int64_t horizon, std::int64_t warm
 // ---------------------------------------------------------------------------
 
 int run(int argc, const char* const* argv) {
-  std::string out_path = "BENCH_PR26.json";
+  std::string out_path = "BENCH_PR27.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--out" && i + 1 < argc) {
@@ -1197,11 +1211,12 @@ int run(int argc, const char* const* argv) {
   }
   std::printf(
       "  uncached %7.2f s   cached %7.2f s   speedup %5.2fx   cache %llu hits / %llu misses"
-      "   %.1f MB per trace\n",
+      "   %.1f MB per trace, %.0f of %lld rows filled\n",
       campaign.uncached_wall_s, campaign.cached_wall_s, campaign.speedup,
       static_cast<unsigned long long>(campaign.cache_hits),
       static_cast<unsigned long long>(campaign.cache_misses),
-      as_double(campaign.bytes_per_trace) / 1e6);
+      as_double(campaign.bytes_per_trace) / 1e6, campaign.filled_slots_per_trace,
+      static_cast<long long>(campaign.horizon_slots));
   const bool campaign_enforced = repro == 0;
   const bool campaign_pass =
       !campaign_enforced || campaign.speedup >= kMinCampaignSpeedup;
@@ -1335,7 +1350,7 @@ int run(int argc, const char* const* argv) {
   std::ofstream json(out_path);
   require(json.good(), "cannot open perf-gate output file");
   json << "{\n";
-  json << "  \"schema\": \"jstream-perf-gate-v12\",\n";
+  json << "  \"schema\": \"jstream-perf-gate-v13\",\n";
   json << "  \"workload\": \"paper_scenario(users, seed=42), capacity 500 KB/s per user\",\n";
   json << "  \"gate\": {\"metric\": \"solver[0].speedup_vs_reference\", \"min_speedup\": "
        << kMinSpeedup << ", \"pass\": " << (solver_gate_pass ? "true" : "false") << "},\n";
@@ -1469,6 +1484,7 @@ int run(int argc, const char* const* argv) {
        << ", \"cache_hits\": " << campaign.cache_hits
        << ", \"cache_misses\": " << campaign.cache_misses
        << ", \"bytes_per_trace\": " << campaign.bytes_per_trace
+       << ", \"filled_slots_per_trace\": " << campaign.filled_slots_per_trace
        << ", \"bit_identical\": true},\n";
   json << "  \"solver\": [\n";
   for (std::size_t i = 0; i < solver_results.size(); ++i) {

@@ -105,7 +105,7 @@ else
 fi
 
 if [[ "${SKIP_PERF:-0}" != 1 ]]; then
-  stage "7/8 perf gate (bench_perf_gate -> BENCH_PR26.json)"
+  stage "7/8 perf gate (bench_perf_gate -> BENCH_PR27.json)"
   # Enforces the pinned regression gates: the exact-EMA solver >= 5x over the
   # paper-literal DP, exact EMA < 1 ms/slot end-to-end at N = 1000, zero
   # steady-state allocations in every slot-path row (a faulted one included),
@@ -120,7 +120,7 @@ if [[ "${SKIP_PERF:-0}" != 1 ]]; then
   # timing/scale gates turn informational (the binary still verifies solver
   # agreement, the allocation gate, and the bit-identity gates); unset it
   # for the real gate.
-  build/bench/bench_perf_gate --out build/BENCH_PR26.json
+  build/bench/bench_perf_gate --out build/BENCH_PR27.json
 else
   stage "7/8 perf gate — SKIPPED (SKIP_PERF=1)"
 fi

@@ -14,6 +14,9 @@ EStreamerScheduler::EStreamerScheduler(Params params) : params_(params) {
   // +inf would pass the checks below and make every burst's deficit infinite.
   require(std::isfinite(params_.buffer_capacity_s),
           "eStreamer buffer capacity must be finite");
+  // NaN would fail the check below under its "non-negative" message.
+  require(std::isfinite(params_.resume_threshold_s),
+          "eStreamer resume threshold must be finite");
   require(params_.resume_threshold_s >= 0.0, "resume threshold must be non-negative");
   require(params_.buffer_capacity_s > params_.resume_threshold_s,
           "buffer capacity must exceed the resume threshold");

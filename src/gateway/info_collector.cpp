@@ -50,7 +50,7 @@ void InfoCollector::collect_into(std::int64_t slot, std::span<UserEndpoint> endp
     const UserEndpoint& endpoint = endpoints[i];
     if (endpoint.trace != nullptr) {
       require(slot < endpoint.trace->slots(), "slot beyond precomputed trace");
-      signal[i] = endpoint.trace->signal_data()[endpoint.trace->index(endpoint.trace_user, slot)];
+      signal[i] = endpoint.trace->row(slot)[endpoint.trace_user];
     } else {
       signal[i] = endpoint.signal->signal_dbm(slot);
     }

@@ -16,6 +16,8 @@ ConstantSignalModel::ConstantSignalModel(double dbm) : dbm_(dbm) {
 double ConstantSignalModel::signal_dbm(std::int64_t /*slot*/) { return dbm_; }
 
 void validate(const SineSignalParams& params) {
+  require(std::isfinite(params.min_dbm), "sine signal minimum must be finite");
+  require(std::isfinite(params.max_dbm), "sine signal maximum must be finite");
   require(std::isfinite(params.noise_stddev_db), "sine noise stddev must be finite");
   require(params.min_dbm < params.max_dbm, "sine signal range is empty");
   require(params.period_slots > 0.0, "sine period must be positive");
@@ -63,6 +65,8 @@ double TraceSignalModel::signal_dbm(std::int64_t slot) {
 void validate(const GaussMarkovSignalModel::Params& params) {
   require(std::isfinite(params.mean_dbm), "Gauss-Markov mean must be finite");
   require(std::isfinite(params.noise_stddev_db), "Gauss-Markov noise stddev must be finite");
+  require(std::isfinite(params.min_dbm), "Gauss-Markov signal minimum must be finite");
+  require(std::isfinite(params.max_dbm), "Gauss-Markov signal maximum must be finite");
   require(params.rho >= 0.0 && params.rho < 1.0, "rho must be in [0,1)");
   require(params.min_dbm < params.max_dbm, "signal range is empty");
 }

@@ -97,7 +97,8 @@ class GaussMarkovSignalModel final : public SignalModel {
 };
 
 /// Throw jstream::Error naming the first invalid field; non-finite values
-/// fail by name before the range checks (+inf noise would pass them).
+/// fail by name before the range checks (+inf noise or a -inf minimum would
+/// pass them).
 void validate(const SineSignalParams& params);
 void validate(const GaussMarkovSignalModel::Params& params);
 

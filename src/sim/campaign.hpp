@@ -1,10 +1,11 @@
 // Campaign engine: runs a scheduler x seed grid of experiments on the thread
-// pool while sharing each scenario's precomputed channel substrate across
-// every scheduler and replication that needs it. Per-cell work drops from
+// pool while sharing each scenario's channel substrate across every
+// scheduler and replication that needs it. Per-cell work drops from
 // "generate 10000-slot traces, then simulate" to "simulate against shared
-// matrices" — the trace is generated once per (scenario, seed), the grid's
-// distinct traces in parallel, and served immutably out of a byte-budgeted
-// LRU cache.
+// matrices" — the trace is created once per (scenario, seed), the grid's
+// distinct traces in parallel, served out of a byte-budgeted LRU cache, and
+// filled on read: each row is computed once, by the first cell to reach it,
+// and rows past the grid's longest cell are never computed.
 #pragma once
 
 #include <memory>

@@ -64,6 +64,17 @@ bool same(const GaussMarkovSignalModel::Params& a,
          a.max_dbm == b.max_dbm;
 }
 
+/// Every user's SignalModel, built by build_endpoints with exactly the
+/// per-user RNG stream the incremental path would use; walking them slot by
+/// slot reproduces its values bit-for-bit.
+std::vector<std::unique_ptr<SignalModel>> signal_models(const ScenarioConfig& config) {
+  std::vector<UserEndpoint> endpoints = build_endpoints(config);
+  std::vector<std::unique_ptr<SignalModel>> models;
+  models.reserve(endpoints.size());
+  for (UserEndpoint& endpoint : endpoints) models.push_back(std::move(endpoint.signal));
+  return models;
+}
+
 }  // namespace
 
 bool TraceKey::operator==(const TraceKey& other) const noexcept {
@@ -129,15 +140,11 @@ TraceKey make_trace_key(const ScenarioConfig& config,
 
 std::shared_ptr<const SignalTraceSet> generate_signal_trace_set(
     const ScenarioConfig& config) {
-  auto& probes = TraceCacheTelemetry::instance();
-  telemetry::ScopedTimer timer(probes.generate_latency_us);
-  // build_endpoints constructs every user's SignalModel with exactly the
-  // per-user RNG stream the incremental path would use; walking those models
-  // slot-by-slot reproduces its values bit-for-bit.
-  std::vector<UserEndpoint> endpoints = build_endpoints(config);
+  telemetry::ScopedTimer timer(TraceCacheTelemetry::instance().generate_latency_us);
+  const std::vector<std::unique_ptr<SignalModel>> owned = signal_models(config);
   std::vector<SignalModel*> models;
-  models.reserve(endpoints.size());
-  for (UserEndpoint& endpoint : endpoints) models.push_back(endpoint.signal.get());
+  models.reserve(owned.size());
+  for (const std::unique_ptr<SignalModel>& model : owned) models.push_back(model.get());
   return SignalTraceSet::generate(models, config.max_slots, caller_or_shared_pool());
 }
 
@@ -191,7 +198,12 @@ std::shared_ptr<const SignalTraceSet> TraceCache::get_or_generate(
                               config.max_slots);
       }
       const bool promoted = set != nullptr;
-      if (!promoted) set = generate_signal_trace_set(config);
+      if (!promoted) {
+        // Fill-on-read: the cells that share the set fill only the rows
+        // they read, so the timer covers creation, not the walks.
+        telemetry::ScopedTimer timer(probes.generate_latency_us);
+        set = SignalTraceSet::fill_on_read(signal_models(config), config.max_slots);
+      }
       promise.set_value(set);
       {
         const std::lock_guard lock(mutex_);

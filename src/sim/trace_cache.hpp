@@ -1,9 +1,12 @@
-// Seed-keyed LRU cache of precomputed signal-trace sets.
+// Seed-keyed LRU cache of shared signal-trace sets.
 //
 // A campaign grid (schedulers x seeds over one scenario) replays the same
-// channel trajectory once per cell; the cache collapses that to one
-// generation per (scenario, seed) and hands every cell the same immutable
-// std::shared_ptr<const SignalTraceSet>. Keys capture exactly the
+// channel trajectory once per cell; the cache collapses that to one set per
+// (scenario, seed) and hands every cell the same
+// std::shared_ptr<const SignalTraceSet>. A miss creates the set
+// fill-on-read (SignalTraceSet::fill_on_read): it owns the users' signal
+// models and fills blocks of rows as the cells first read them, so rows past
+// the longest cell's last slot are never computed. Keys capture exactly the
 // ScenarioConfig fields that influence the signal matrix — the population,
 // horizon, seed, RSSI process parameters, and the VBR flag (it changes the
 // per-user RNG draw order ahead of the signal-model construction). The link
@@ -16,9 +19,10 @@
 // and an unfaulted one can never serve each other's entries.
 // Entries are evicted least-recently-used once the resident-byte
 // budget is exceeded; the most recent entry is always retained. Concurrent
-// lookups are safe: the first shard to miss generates while the map lock is
-// released, and racing shards block on a shared future instead of
-// duplicating the work.
+// lookups are safe: the first shard to miss creates the set while the map
+// lock is released, and racing shards block on a shared future instead of
+// duplicating the work. Cells reading one fill-on-read set concurrently fill
+// it under the set's own mutex (SignalTraceSet::row).
 #pragma once
 
 #include <cstdint>
@@ -86,21 +90,24 @@ struct TraceKeyHash {
 [[nodiscard]] TraceKey make_trace_key(const ScenarioConfig& config,
                                       std::uint64_t session_fingerprint = 0);
 
-/// Generates the full trace set for a scenario: builds the per-user signal
-/// models exactly as build_endpoints does (same RNG stream order) and walks
-/// them over [0, max_slots). Bit-identical to the incremental per-slot path
-/// by construction. Users are spread with parallel_for over
+/// Generates the complete trace set for a scenario: builds the per-user
+/// signal models exactly as build_endpoints does (same RNG stream order) and
+/// walks them over [0, max_slots) before returning. Bit-identical to the
+/// incremental per-slot path, and to a cache miss's fill-on-read set, by
+/// construction. Users are spread with parallel_for over
 /// caller_or_shared_pool(): the caller's own pool when it is a pool worker,
-/// else the process-wide shared pool.
+/// else the process-wide shared pool. The uncached campaign path
+/// (CampaignOptions::use_trace_cache off) uses it. Each call observes
+/// trace_cache.generate_latency_us, as each cache miss does.
 [[nodiscard]] std::shared_ptr<const SignalTraceSet> generate_signal_trace_set(
     const ScenarioConfig& config);
 
 class TraceStore;
 
-/// Thread-safe byte-budgeted LRU cache over generate_signal_trace_set, with
-/// an optional persistent tier underneath (attach_store): evicted entries
-/// spill to disk and misses promote from disk (zero-copy mmap) before
-/// falling back to regeneration.
+/// Thread-safe byte-budgeted LRU cache of fill-on-read trace sets, with an
+/// optional persistent tier underneath (attach_store): evicted entries spill
+/// to disk and misses promote from disk (zero-copy mmap) before falling back
+/// to creating a set.
 class TraceCache {
  public:
   /// `max_bytes` budgets the resident trace matrices (estimate_bytes per
@@ -108,11 +115,15 @@ class TraceCache {
   /// oversized scenario still caches. Default: 1 GiB.
   explicit TraceCache(std::size_t max_bytes = kDefaultMaxBytes);
 
-  /// Returns the cached set for the config's trace key, generating it on a
-  /// miss. Concurrent callers for the same key share one generation.
-  /// Propagates generation failures (and forgets the entry so later calls
-  /// retry). With a store attached, a miss consults the store before
-  /// generating, and entries evicted by the insertion spill to the store.
+  /// Returns the cached set for the config's trace key, creating it on a
+  /// miss: a fill-on-read set whose rows fill on first read, so the
+  /// trace_cache.generate_latency_us histogram times set creation (building
+  /// the models and allocating the matrix), not the walks. Concurrent
+  /// callers for the same key share one creation. Propagates creation
+  /// failures (and forgets the entry so later calls retry). With a store
+  /// attached, a miss consults the store before creating, and entries
+  /// evicted by the insertion spill to the store, filling their remaining
+  /// rows first.
   [[nodiscard]] std::shared_ptr<const SignalTraceSet> get_or_generate(
       const ScenarioConfig& config, std::uint64_t session_fingerprint = 0);
 
@@ -121,10 +132,11 @@ class TraceCache {
   void attach_store(TraceStore* store);
   [[nodiscard]] TraceStore* store() const;
 
-  /// Spills every resident, fully-generated entry to the attached store (no
-  /// eviction). Campaigns call this at end of run so a warm store holds the
-  /// whole working set, not just what happened to overflow the LRU budget.
-  /// No-op without a store.
+  /// Spills every resident entry whose creation completed to the attached
+  /// store (no eviction), filling each set's remaining rows first, so the
+  /// stored file is the complete matrix. Campaigns call this at end of run so
+  /// a warm store holds the whole working set, not just what happened to
+  /// overflow the LRU budget. No-op without a store.
   void spill_resident();
 
   [[nodiscard]] std::size_t max_bytes() const;
@@ -135,8 +147,8 @@ class TraceCache {
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;
   [[nodiscard]] std::uint64_t evictions() const;
-  /// Misses served by running the generation pipeline (a warm-store campaign
-  /// should report zero of these).
+  /// Misses served by creating a new set (a warm-store campaign should
+  /// report zero of these).
   [[nodiscard]] std::uint64_t generations() const;
   /// Misses served zero-copy from the attached store.
   [[nodiscard]] std::uint64_t promotions() const;

@@ -70,6 +70,18 @@ TEST(EStreamer, RejectsNonFiniteCapacityByName) {
   }
 }
 
+// NaN fails the range check as a negative threshold.
+TEST(EStreamer, RejectsNonFiniteResumeThresholdByName) {
+  for (const double bad : testing::kNonFinite) {
+    SchedulerOptions options;
+    options.estreamer_resume_s = bad;
+    const std::string error =
+        testing::error_message([&] { (void)make_scheduler("estreamer", options); });
+    EXPECT_NE(error.find("eStreamer resume threshold must be finite"), std::string::npos)
+        << "threshold " << bad << ": got \"" << error << "\"";
+  }
+}
+
 TEST(EStreamer, RejectsBadParamsAndMissingReset) {
   EStreamerScheduler::Params bad;
   bad.resume_threshold_s = 40.0;  // above capacity

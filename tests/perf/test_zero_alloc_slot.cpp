@@ -27,6 +27,7 @@
 #include "sim/experiment.hpp"
 #include "sim/fault.hpp"
 #include "sim/scenario.hpp"
+#include "sim/trace_cache.hpp"
 #include "test_helpers.hpp"
 #include "common/units.hpp"
 
@@ -300,6 +301,29 @@ TEST(ZeroAllocSlot, TracedSlotPathIsAllocationFree) {
                       SchedulingMode::kEnergyMinimization, endpoints.size());
   (void)allocations_over_slots(framework, endpoints, bs, 0, 50);
   EXPECT_EQ(allocations_over_slots(framework, endpoints, bs, 50, 200), 0u);
+}
+
+TEST(ZeroAllocSlot, FillOnReadTraceAcrossBlocksIsAllocationFree) {
+  // A cache miss's trace fills blocks of rows as the collector first reads
+  // them. The measured window crosses two block boundaries, so two fills
+  // run inside it: they walk the set's own models into its own matrix and
+  // must allocate nothing either.
+  ScenarioConfig scenario = paper_scenario(/*users=*/40, /*seed=*/42);
+  scenario.max_slots = 4 * SignalTraceSet::kFillBlockSlots;
+  TraceCache cache;
+  const std::shared_ptr<const SignalTraceSet> trace = cache.get_or_generate(scenario);
+  std::vector<UserEndpoint> endpoints = build_endpoints(scenario);
+  for (std::size_t i = 0; i < endpoints.size(); ++i) endpoints[i].attach_trace(trace.get(), i);
+  const BaseStation bs(capacity_profile(scenario));
+  Framework framework(InfoCollector(scenario.slot, scenario.link, scenario.radio),
+                      make_scheduler_for_scenario("ema", {}, scenario),
+                      SchedulingMode::kBaseline, scenario.users);
+  constexpr std::int64_t kWarmup = 20;
+  constexpr std::int64_t kMeasured = 2 * SignalTraceSet::kFillBlockSlots;
+  (void)allocations_over_slots(framework, endpoints, bs, 0, kWarmup);
+  ASSERT_EQ(trace->filled_slots(), SignalTraceSet::kFillBlockSlots);
+  EXPECT_EQ(allocations_over_slots(framework, endpoints, bs, kWarmup, kMeasured), 0u);
+  EXPECT_EQ(trace->filled_slots(), 3 * SignalTraceSet::kFillBlockSlots);
 }
 
 // Paper scale, every factory scheduler: paper_scenario(40) built through

@@ -4,9 +4,11 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
+#include "test_helpers.hpp"
 
 namespace jstream {
 namespace {
@@ -93,6 +95,31 @@ TEST(SineSignalModel, RejectsInvalidParams) {
   EXPECT_THROW(SineSignalModel(bad_period, Rng(1)), Error);
 }
 
+/// Sets one range end of `params` to each non-finite value of either sign
+/// and expects construction to fail with `message`.
+template <typename Model, typename Params>
+void expect_range_end_rejected(double Params::*end, const std::string& message) {
+  for (const double bad : testing::kNonFinite) {
+    for (const double value : {bad, -bad}) {
+      Params params;
+      params.*end = value;
+      const std::string error =
+          testing::error_message([&] { (void)Model(params, Rng(1)); });
+      EXPECT_NE(error.find(message), std::string::npos)
+          << message << ", value " << value << ": got \"" << error << "\"";
+    }
+  }
+}
+
+// A -inf minimum or +inf maximum passes the range check: the sine then fails
+// at the Eq. 24 fit, naming no field. NaN fails it as an "empty" range.
+TEST(SineSignalModel, RejectsNonFiniteRangeEndsByName) {
+  expect_range_end_rejected<SineSignalModel>(&SineSignalParams::min_dbm,
+                                              "sine signal minimum must be finite");
+  expect_range_end_rejected<SineSignalModel>(&SineSignalParams::max_dbm,
+                                              "sine signal maximum must be finite");
+}
+
 TEST(TraceSignalModel, WrapsAround) {
   TraceSignalModel model({-60.0, -70.0, -80.0});
   EXPECT_DOUBLE_EQ(model.signal_dbm(0), -60.0);
@@ -119,6 +146,15 @@ TEST(GaussMarkovSignalModel, StaysInRangeAndIsCorrelated) {
   }
   // High correlation keeps average steps well below the noise-free swing.
   EXPECT_LT(total_step / 2000.0, 3.0 * params.noise_stddev_db);
+}
+
+// A -inf minimum runs with no floor on the clamp.
+TEST(GaussMarkovSignalModel, RejectsNonFiniteRangeEndsByName) {
+  using Params = GaussMarkovSignalModel::Params;
+  expect_range_end_rejected<GaussMarkovSignalModel>(
+      &Params::min_dbm, "Gauss-Markov signal minimum must be finite");
+  expect_range_end_rejected<GaussMarkovSignalModel>(
+      &Params::max_dbm, "Gauss-Markov signal maximum must be finite");
 }
 
 TEST(GaussMarkovSignalModel, RejectsInvalidRho) {

@@ -10,6 +10,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -107,6 +109,41 @@ TEST_F(TraceStoreTest, SpillPromoteRoundTripIsBitIdentical) {
   expect_identical_sets(*generated, *promoted);
   EXPECT_EQ(store.promotions(), 1u);
   EXPECT_EQ(store.rejections(), 0u);
+}
+
+// A cache miss's set fills on read. Spilling one that cells read only part
+// of must store the complete matrix: the file a partly-read set writes is the
+// eager set's file byte for byte (same version, header and payload), and it
+// loads back as the full eager matrix.
+TEST_F(TraceStoreTest, PartlyFilledSetRoundTripsAsTheFullMatrix) {
+  ScenarioConfig scenario = small_scenario();
+  scenario.max_slots = 3 * SignalTraceSet::kFillBlockSlots + 11;
+  const std::uint64_t fp = trace_key_fingerprint(make_trace_key(scenario));
+  TraceCache cache;
+  const std::shared_ptr<const SignalTraceSet> partial = cache.get_or_generate(scenario);
+  (void)partial->row(SignalTraceSet::kFillBlockSlots + 3);
+  ASSERT_EQ(partial->filled_slots(), 2 * SignalTraceSet::kFillBlockSlots);
+
+  TraceStore store(dir_ + "/partial");
+  TraceStore eager_store(dir_ + "/eager");
+  const std::shared_ptr<const SignalTraceSet> eager = generate_signal_trace_set(scenario);
+  ASSERT_TRUE(store.put(fp, *partial));
+  ASSERT_TRUE(eager_store.put(fp, *eager));
+  EXPECT_EQ(partial->filled_slots(), scenario.max_slots);
+
+  const auto file_bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::vector<char> written = file_bytes(store.path_for(fp));
+  ASSERT_FALSE(written.empty());
+  EXPECT_EQ(written, file_bytes(eager_store.path_for(fp)));
+
+  const std::shared_ptr<const SignalTraceSet> loaded =
+      store.try_load(fp, scenario.users, scenario.max_slots);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_TRUE(loaded->mapped());
+  expect_identical_sets(*loaded, *eager);
 }
 
 TEST_F(TraceStoreTest, CorruptFileIsDroppedAndReportedAsMiss) {

@@ -16,6 +16,11 @@
 // per (seed, users, horizon, fault config) key and shares it across the
 // grid's cells, so the faulted grid's 7 schedulers x 2 seeds draw 2
 // schedules (it read 14, one per cell, before schedules were shared).
+//
+// `trace.blocks_filled` counts the blocks of SignalTraceSet::kFillBlockSlots
+// rows that fill-on-read trace sets filled. Each grid reads both of its two
+// traces through slot 299, so each fills 2 blocks (256 + 44 rows): 4 per
+// grid, whatever the thread count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -153,6 +158,7 @@ const CountTable kFaultedGridCounts = {
     {"rtma.rejected_users", 1849},
     {"sim.runs", 14},
     {"sim.slots_total", 4200},
+    {"trace.blocks_filled", 4},
     {"trace_cache.hits", 12},
     {"trace_cache.misses", 2},
     {"histogram:ema.solve_latency_us", 600},
@@ -178,6 +184,7 @@ const CountTable kServiceGridCounts = {
     {"rtma.admitted_users", 895},
     {"rtma.allocations", 600},
     {"session.runs", 4},
+    {"trace.blocks_filled", 4},
     {"trace_cache.hits", 2},
     {"trace_cache.misses", 2},
     {"histogram:ema.solve_latency_us", 600},
