@@ -1,6 +1,6 @@
 // Perf regression gate for the slot engine (see docs/PERFORMANCE.md).
 //
-// Nine measurement families, all on pinned deterministic workloads:
+// Eight measurement families, all on pinned deterministic workloads:
 //
 //  1. Solver microbench: the production EMA solver against the paper-literal
 //     O(N*M*phi_max) reference on the same instances, timed in alternating
@@ -36,27 +36,21 @@
 //     since determinism does not depend on timing. The wall-clock ratio is
 //     reported for context only (it tracks core count, which CI does not
 //     pin).
-//  5. Disk-warm gate: a trace-bound grid (short sessions, full-horizon
-//     substrate) run cold against an empty persistent TraceStore and then
-//     again with a fresh cache over the now-warm store. The warm pass must
-//     regenerate nothing (generations == 0, every miss promoted from mmap)
-//     at every scale, and at the full horizon must beat the cold pass by
-//     >= 3x wall clock.
-//  6. Service-scale gate: one trace-less 110k-population service run (the
+//  5. Service-scale gate: one trace-less 110k-population service run (the
 //     numbers bench_service_steady part 3 reports): ns/user-slot ceiling,
 //     RSS at the horizon <= 1.5x RSS after the fill, and the sustained
 //     >= 100k concurrency floor, all enforced at full scale.
-//  7. Telemetry cost: the N = 1000 exact-EMA slot path and the 4-thread
+//  6. Telemetry cost: the N = 1000 exact-EMA slot path and the 4-thread
 //     pool grid, each run with telemetry off and on in alternating blocks.
 //     Both sides must digest equally (telemetry is observation-only),
 //     enforced at every scale; the on/off time ratios are reported, not
 //     gated, since this host's speed regimes would make a bound flake.
-//  8. Trace generation: one N = 200 trace over the full horizon generated
+//  7. Trace generation: one N = 200 trace over the full horizon generated
 //     from the main thread (users spread over the shared pool) and by the
 //     serial public-API walk, in alternating blocks. Every parallel signal
 //     matrix must equal the serial one byte for byte, enforced at every
 //     scale; the wall times and their ratio are reported, not gated.
-//  9. Fault campaign: the fault sweep's 7 schedulers x 3 faulting levels x
+//  8. Fault campaign: the fault sweep's 7 schedulers x 3 faulting levels x
 //     2 seeds at N = 40, through run_campaign (one shared fault schedule per
 //     key) and through run_experiment with no schedule (one draw per cell),
 //     in alternating blocks on 4 threads over one warm trace cache. Both
@@ -64,7 +58,7 @@
 //     schedule per key, enforced at every scale; wall times are reported,
 //     not gated.
 //
-// Results land in BENCH_PR27.json (override with --out <path>); the JSON
+// Results land in BENCH_PR30.json (override with --out <path>); the JSON
 // schema is documented in docs/PERFORMANCE.md. REPRO_SLOTS in the
 // environment shrinks every loop for smoke runs. The paper-invariant
 // validator must stay at its compiled-out-of-the-hot-path default here: the
@@ -78,14 +72,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <new>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include <unistd.h>
 
 #include "baselines/factory.hpp"
 #include "bench_util.hpp"
@@ -102,7 +93,6 @@
 #include "sim/metrics.hpp"
 #include "sim/scenario.hpp"
 #include "sim/trace_cache.hpp"
-#include "sim/trace_store.hpp"
 #include "telemetry/registry.hpp"
 #include "common/units.hpp"
 
@@ -624,8 +614,8 @@ struct PoolScalingResult {
 };
 
 PoolScalingResult bench_pool_scaling(std::int64_t horizon) {
-  // The campaign gate's grid at 4 seeds, on one thread and on four, one per
-  // seed, so the lead pass generates in parallel. The pool size is fixed,
+  // The campaign gate's grid at 4 seeds, on one thread and on four, so each
+  // seed's cells can run on a worker of their own. The pool size is fixed,
   // not the host's core count, so the digest check runs a parallel grid even
   // on a one-core host (where only the informational speedup drops). Each
   // side gets its own fresh cache and generates every trace itself.
@@ -825,86 +815,6 @@ TraceGenerationResult bench_trace_generation(std::int64_t horizon) {
   result.serial_wall_s /= as_double(kBlocks);
   result.speedup =
       result.parallel_wall_s > 0.0 ? result.serial_wall_s / result.parallel_wall_s : 0.0;
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Disk-warm gate: persistent trace tier vs cold regeneration.
-// ---------------------------------------------------------------------------
-
-struct DiskWarmResult {
-  std::size_t users = 0;
-  std::size_t seeds = 0;
-  std::size_t cells = 0;
-  std::int64_t horizon_slots = 0;
-  double cold_wall_s = 0.0;
-  double warm_wall_s = 0.0;
-  double speedup = 0.0;
-  std::uint64_t cold_generations = 0;
-  std::uint64_t warm_generations = 0;
-  std::uint64_t warm_promotions = 0;
-  bool bit_identical = false;
-};
-
-DiskWarmResult bench_disk_warm(std::int64_t horizon) {
-  // Trace-bound grid: short sessions early-stop the sims, so wall time is
-  // dominated by producing the channel substrate — exactly the cost the
-  // persistent tier amortizes across campaign invocations. The trace horizon
-  // stays at the full gate length (max_slots is part of the trace key), so
-  // the cold pass carries its realistic generation cost.
-  const std::vector<CampaignSeries> series = {{"default", "default", {}},
-                                              {"ema-fast", "ema-fast", {}}};
-  ScenarioConfig base = paper_scenario(200, 42);
-  base.max_slots = horizon;
-  base.capacity_kbps = 500.0 * as_double(base.users);
-  base.video_min_mb = 2.0;
-  base.video_max_mb = 4.0;
-  constexpr std::size_t kSeeds = 8;
-  const std::vector<ExperimentSpec> specs = make_campaign_grid(base, series, kSeeds);
-
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("jstream_perf_gate_store_" + std::to_string(::getpid())))
-          .string();
-  std::filesystem::remove_all(dir);
-
-  DiskWarmResult result;
-  result.users = base.users;
-  result.seeds = kSeeds;
-  result.cells = specs.size();
-  result.horizon_slots = horizon;
-  {
-    TraceStore store(dir);
-    TraceCache cold_cache;
-    CampaignOptions cold;
-    cold.cache = &cold_cache;
-    cold.store = &store;
-    auto start = Clock::now();
-    const std::vector<RunMetrics> cold_results = run_campaign(specs, cold);
-    result.cold_wall_s = seconds_since(start);
-    result.cold_generations = cold_cache.generations();
-
-    // Disk-warm rerun: a fresh cache over the now-populated store. Every
-    // miss must promote from the mmap tier; a single regeneration means the
-    // fingerprint keying or the end-of-run flush broke.
-    TraceCache warm_cache;
-    CampaignOptions warm = cold;
-    warm.cache = &warm_cache;
-    start = Clock::now();
-    const std::vector<RunMetrics> warm_results = run_campaign(specs, warm);
-    result.warm_wall_s = seconds_since(start);
-    result.warm_generations = warm_cache.generations();
-    result.warm_promotions = warm_cache.promotions();
-    result.speedup =
-        result.warm_wall_s > 0.0 ? result.cold_wall_s / result.warm_wall_s : 0.0;
-
-    result.bit_identical = warm_results.size() == cold_results.size();
-    for (std::size_t i = 0; result.bit_identical && i < warm_results.size(); ++i) {
-      result.bit_identical =
-          metrics_digest(warm_results[i]) == metrics_digest(cold_results[i]);
-    }
-  }
-  std::filesystem::remove_all(dir);
   return result;
 }
 
@@ -1110,7 +1020,7 @@ TelemetryCostResult bench_telemetry_cost(std::int64_t horizon, std::int64_t warm
 // ---------------------------------------------------------------------------
 
 int run(int argc, const char* const* argv) {
-  std::string out_path = "BENCH_PR27.json";
+  std::string out_path = "BENCH_PR30.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--out" && i + 1 < argc) {
@@ -1250,21 +1160,6 @@ int run(int argc, const char* const* argv) {
           : "digest shared != per-cell (MISMATCH)");
   const bool fault_campaign_pass = fault_campaign.pass();
 
-  // Disk-warm gate: a fresh cache over a warm store must promote every miss
-  // (enforced always) and beat cold regeneration >= 3x at the full horizon.
-  constexpr double kMinDiskWarmSpeedup = 3.0;
-  std::printf("persistent trace tier (2 schedulers x 8 seeds, N=200, trace-bound)\n");
-  const DiskWarmResult disk = bench_disk_warm(clamp(10000));
-  std::printf(
-      "  cold %7.2f s (%llu generations)   warm %7.2f s (%llu generations, "
-      "%llu promotions)   speedup %5.2fx\n",
-      disk.cold_wall_s, static_cast<unsigned long long>(disk.cold_generations),
-      disk.warm_wall_s, static_cast<unsigned long long>(disk.warm_generations),
-      static_cast<unsigned long long>(disk.warm_promotions), disk.speedup);
-  const bool disk_enforced = repro == 0;
-  const bool disk_pass = disk.warm_generations == 0 && disk.bit_identical &&
-                         (!disk_enforced || disk.speedup >= kMinDiskWarmSpeedup);
-
   // Service-scale gate, promoted from bench_service_steady part 3.
   constexpr double kMaxServiceNsPerUserSlot = 1000.0;
   constexpr double kMaxServiceRssRatio = 1.5;
@@ -1350,7 +1245,7 @@ int run(int argc, const char* const* argv) {
   std::ofstream json(out_path);
   require(json.good(), "cannot open perf-gate output file");
   json << "{\n";
-  json << "  \"schema\": \"jstream-perf-gate-v13\",\n";
+  json << "  \"schema\": \"jstream-perf-gate-v14\",\n";
   json << "  \"workload\": \"paper_scenario(users, seed=42), capacity 500 KB/s per user\",\n";
   json << "  \"gate\": {\"metric\": \"solver[0].speedup_vs_reference\", \"min_speedup\": "
        << kMinSpeedup << ", \"pass\": " << (solver_gate_pass ? "true" : "false") << "},\n";
@@ -1401,20 +1296,6 @@ int run(int argc, const char* const* argv) {
        << "\", \"blocks_agree\": " << (fault_campaign.blocks_agree ? "true" : "false")
        << ", \"enforced\": true, \"pass\": " << (fault_campaign_pass ? "true" : "false")
        << "},\n";
-  json << "  \"disk_warm_gate\": {\"metric\": \"disk_warm.speedup_warm_vs_cold\", "
-       << "\"min_speedup\": " << kMinDiskWarmSpeedup
-       << ", \"users\": " << disk.users << ", \"seeds\": " << disk.seeds
-       << ", \"cells\": " << disk.cells
-       << ", \"horizon_slots\": " << disk.horizon_slots
-       << ", \"cold_wall_s\": " << disk.cold_wall_s
-       << ", \"warm_wall_s\": " << disk.warm_wall_s
-       << ", \"speedup_warm_vs_cold\": " << disk.speedup
-       << ", \"cold_generations\": " << disk.cold_generations
-       << ", \"warm_generations\": " << disk.warm_generations
-       << ", \"warm_promotions\": " << disk.warm_promotions
-       << ", \"bit_identical\": " << (disk.bit_identical ? "true" : "false")
-       << ", \"enforced\": " << (disk_enforced ? "true" : "false")
-       << ", \"pass\": " << (disk_pass ? "true" : "false") << "},\n";
   json << "  \"service_scale_gate\": {\"metric\": \"service_scale.ns_per_user_slot\", "
        << "\"max_ns_per_user_slot\": " << kMaxServiceNsPerUserSlot
        << ", \"max_rss_ratio\": " << kMaxServiceRssRatio
@@ -1556,15 +1437,6 @@ int run(int argc, const char* const* argv) {
                  fault_campaign.blocks_agree ? "" : "; blocks disagree");
     return 1;
   }
-  if (!disk_pass) {
-    std::fprintf(stderr,
-                 "PERF GATE FAILED: disk-warm rerun (%llu generations, %s, "
-                 "%.2fx vs cold) missed the warm-store bar\n",
-                 static_cast<unsigned long long>(disk.warm_generations),
-                 disk.bit_identical ? "bit-identical" : "DIVERGED",
-                 disk.speedup);
-    return 1;
-  }
   if (!service_pass) {
     std::fprintf(stderr,
                  "PERF GATE FAILED: service scale (%.1f ns/user-slot, RSS %ld "
@@ -1596,15 +1468,13 @@ int run(int argc, const char* const* argv) {
       "perf gate passed (solver %.1fx >= %.1fx; ema N=1000 %s; 0 allocs/slot; "
       "campaign %.2fx%s; "
       "pool bit-identical to 1 thread; shared fault schedules bit-identical, one "
-      "per key; disk-warm %.2fx%s; service scale %s; "
+      "per key; service scale %s; "
       "telemetry observation-only, on/off %.3f slot path, %.3f pool; "
       "parallel trace generation bit-identical, %.2fx)\n",
       solver_results.front().speedup, kMinSpeedup,
       ema_gate_enforced ? "< 1 ms/slot" : "informational under REPRO_SLOTS",
       campaign.speedup,
       campaign_enforced ? " >= 3.0x" : ", informational under REPRO_SLOTS",
-      disk.speedup,
-      disk_enforced ? " >= 3.0x" : ", ratio informational under REPRO_SLOTS",
       service_enforced ? "within bounds" : "informational under REPRO_SLOTS",
       slot_telemetry_ratio, pool_telemetry_ratio, generation.speedup);
   return 0;

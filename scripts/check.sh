@@ -105,22 +105,21 @@ else
 fi
 
 if [[ "${SKIP_PERF:-0}" != 1 ]]; then
-  stage "7/8 perf gate (bench_perf_gate -> BENCH_PR27.json)"
+  stage "7/8 perf gate (bench_perf_gate -> BENCH_PR30.json)"
   # Enforces the pinned regression gates: the exact-EMA solver >= 5x over the
   # paper-literal DP, exact EMA < 1 ms/slot end-to-end at N = 1000, zero
   # steady-state allocations in every slot-path row (a faulted one included),
   # the campaign cache >= 3x on the full grid (mean wall times of four
   # alternating blocks), the pooled campaign
   # bit-identical to one thread, shared fault schedules bit-identical to
-  # per-cell draws with one draw per key, the
-  # disk-warm trace-store rerun (zero regenerations always; >= 3x at full
-  # scale), the 110k-session service-scale bounds, telemetry-on runs
-  # bit-identical to telemetry-off ones, and user-parallel trace generation
-  # bit-identical to the serial walk. With REPRO_SLOTS set the
+  # per-cell draws with one draw per key, the 110k-session service-scale
+  # bounds, telemetry-on runs bit-identical to telemetry-off ones, and
+  # user-parallel trace generation bit-identical to the serial walk. With
+  # REPRO_SLOTS set the
   # timing/scale gates turn informational (the binary still verifies solver
   # agreement, the allocation gate, and the bit-identity gates); unset it
   # for the real gate.
-  build/bench/bench_perf_gate --out build/BENCH_PR27.json
+  build/bench/bench_perf_gate --out build/BENCH_PR30.json
 else
   stage "7/8 perf gate — SKIPPED (SKIP_PERF=1)"
 fi

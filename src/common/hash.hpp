@@ -1,14 +1,13 @@
-// Non-cryptographic 64-bit content hashing for on-disk artifacts.
+// Non-cryptographic 64-bit content hashing for the run digests.
 //
-// The persistent trace tier (docs/PERFORMANCE.md) checksums every payload it
-// writes and re-verifies on load, so a truncated or bit-flipped file is
-// rejected and regenerated instead of feeding a corrupted channel matrix into
-// a campaign. The hash is the XXH64 construction (Yann Collet's xxHash,
-// public domain): 4-lane striped multiply-rotate over 32-byte blocks with an
-// avalanche finalizer — quality and speed far beyond FNV at the multi-MB
-// payload sizes a trace set reaches, while staying ~40 lines of dependency-
-// free C++. Stable across platforms: input is consumed as little-endian
-// 64/32-bit words, so a file checksummed on one machine verifies on another.
+// metrics_digest (sim/metrics) and service_digest (session/service) hash a
+// little-endian byte image of a run's results, so the golden-run tests and
+// the perf gate's bit-identity checks compare one 64-bit value per run. The
+// hash is the XXH64 construction (Yann Collet's xxHash, public domain):
+// 4-lane striped multiply-rotate over 32-byte blocks with an avalanche
+// finalizer, ~40 lines of dependency-free C++. Stable across platforms:
+// input is consumed as little-endian 64/32-bit words, so a digest pinned on
+// one machine reproduces on another.
 #pragma once
 
 #include <bit>
@@ -27,9 +26,7 @@ inline constexpr std::uint64_t kXxPrime4 = 0x85EBCA77C2B2AE63ULL;
 inline constexpr std::uint64_t kXxPrime5 = 0x27D4EB2F165667C5ULL;
 
 /// Unaligned little-endian loads. This library only targets little-endian
-/// hosts (the trace-file header pins an endianness tag precisely so a
-/// big-endian build would reject the file instead of mis-reading it), so a
-/// memcpy load IS the little-endian read.
+/// hosts, so a memcpy load IS the little-endian read.
 inline std::uint64_t load64(const unsigned char* p) noexcept {
   std::uint64_t v = 0;
   std::memcpy(&v, p, sizeof(v));
@@ -55,8 +52,8 @@ inline std::uint64_t xx_merge_round(std::uint64_t acc, std::uint64_t val) noexce
 
 }  // namespace hash_detail
 
-/// XXH64 of `len` bytes at `data` under `seed`. One-shot; the trace tier
-/// hashes whole mapped payloads, so no streaming state is needed.
+/// XXH64 of `len` bytes at `data` under `seed`. One-shot; the digests hash
+/// one contiguous byte image, so no streaming state is needed.
 [[nodiscard]] inline std::uint64_t xxh64(const void* data, std::size_t len,
                                          std::uint64_t seed = 0) noexcept {
   using namespace hash_detail;

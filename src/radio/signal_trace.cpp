@@ -28,7 +28,6 @@ SignalTraceSet::SignalTraceSet(std::size_t users, std::int64_t slots, Uninitiali
   require(users > 0, "trace set needs at least one user");
   require(slots > 0, "trace set needs at least one slot");
   signal_ = std::make_unique_for_overwrite<double[]>(users_ * checked_size(slots_));
-  signal_view_ = signal_.get();
 }
 
 SignalTraceSet::SignalTraceSet(std::size_t users, std::int64_t slots)
@@ -56,22 +55,7 @@ std::shared_ptr<const SignalTraceSet> SignalTraceSet::fill_on_read(
   return set;
 }
 
-std::shared_ptr<const SignalTraceSet> SignalTraceSet::adopt_mapping(
-    std::size_t users, std::int64_t slots, std::shared_ptr<const void> keepalive,
-    const double* signal) {
-  require(users > 0 && slots > 0, "mapped trace set needs positive dimensions");
-  require(keepalive != nullptr, "mapped trace set needs a backing owner");
-  require(signal != nullptr, "mapped trace set needs its signal matrix");
-  auto set = std::shared_ptr<SignalTraceSet>(new SignalTraceSet());
-  set->users_ = users;
-  set->slots_ = slots;
-  set->signal_view_ = signal;
-  set->keepalive_ = std::move(keepalive);
-  return set;
-}
-
 void SignalTraceSet::fill_user(std::size_t user, SignalModel& model) {
-  require(!mapped(), "mapped trace sets are immutable");
   require(user < users_, "trace user index out of range");
   walk_rows(user, model, 0, slots_);
 }
@@ -86,19 +70,14 @@ void SignalTraceSet::walk_rows(std::size_t user, SignalModel& model, std::int64_
   }
 }
 
-void SignalTraceSet::fill_through(std::int64_t slot, ThreadPool* pool) const {
+void SignalTraceSet::fill_through(std::int64_t slot) const {
   FillState& fill = *fill_;
   const std::lock_guard lock(fill.mutex);
   const std::int64_t begin = fill.frontier.load(std::memory_order_relaxed);
   const std::int64_t end = std::min(slots_, (slot / kFillBlockSlots + 1) * kFillBlockSlots);
   if (end <= begin) return;  // filled by another reader while this one waited
-  const auto walk = [&](std::size_t user) {
+  for (std::size_t user = 0; user < users_; ++user) {
     walk_rows(user, *fill.models[user], begin, end);
-  };
-  if (pool != nullptr) {
-    parallel_for(*pool, users_, walk);
-  } else {
-    for (std::size_t user = 0; user < users_; ++user) walk(user);
   }
   if (end == slots_) fill.models.clear();  // complete: no walk is left to take
   fill.frontier.store(end, std::memory_order_release);
@@ -114,10 +93,8 @@ double SignalTraceSet::signal_dbm(std::size_t user, std::int64_t slot) const {
 }
 
 const double* SignalTraceSet::signal_data() const {
-  if (fill_ != nullptr && filled_slots() < slots_) {
-    fill_through(slots_ - 1, &caller_or_shared_pool());
-  }
-  return signal_view_;
+  if (fill_ != nullptr && filled_slots() < slots_) fill_through(slots_ - 1);
+  return signal_.get();
 }
 
 std::size_t SignalTraceSet::total_bytes() const noexcept {

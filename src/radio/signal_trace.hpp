@@ -8,12 +8,12 @@
 // all schedulers and replications, and read back as plain array loads on the
 // per-slot hot path instead of per-slot virtual SignalModel calls.
 //
-// A set is complete from the start (generate, the constructor, a mapped
-// file) or fills on read (fill_on_read): it then owns the users'
-// SignalModels, and the first read of a row past the filled ones fills whole
-// blocks of kFillBlockSlots rows up to it. Campaign cells stop as soon as
-// their sessions finish, usually long before the horizon, so most rows of a
-// fill-on-read set are never written and their pages never touched. Every
+// A set is complete from the start (generate, the constructor) or fills on
+// read (fill_on_read): it then owns the users' SignalModels, and the first
+// read of a row past the filled ones fills whole blocks of kFillBlockSlots
+// rows up to it. Campaign cells stop as soon as their sessions finish,
+// usually long before the horizon, so most rows of a fill-on-read set are
+// never written and their pages never touched. Every
 // fill walks the same SignalModel objects slot by slot in order, so the
 // values are bit-identical to the incremental path whichever form wrote them
 // (the RNG stream order is preserved exactly).
@@ -38,18 +38,12 @@ namespace jstream {
 
 class ThreadPool;
 
-/// Immutable-after-fill slot-major users x slots RSSI matrix (dBm).
-///
-/// Three storage modes share one read interface:
-///  - owning, complete (the constructor, or generate): the matrix lives in an
-///    array the set owns, filled by fill_user — the generation path;
-///  - owning, fill-on-read (fill_on_read): the set also owns the users'
-///    models and writes each row on its first read (row, signal_data);
-///  - mapped (adopt_mapping): the matrix aliases an external read-only block,
-///    typically a memory-mapped trace file from the persistent tier
-///    (signal_trace_io). A mapped set is immutable; the keepalive shared_ptr
-///    pins the mapping for the set's lifetime, and the hot collect path reads
-///    the same row() pointers either way — promotion from disk is zero-copy.
+/// Immutable-after-fill slot-major users x slots RSSI matrix (dBm), in an
+/// array the set owns. Two modes share one read interface:
+///  - complete (the constructor, or generate): filled by fill_user before
+///    anyone reads it — the generation path;
+///  - fill-on-read (fill_on_read): the set also owns the users' models and
+///    writes each row on its first read (row, signal_data).
 class SignalTraceSet {
  public:
   /// Rows a fill-on-read set fills at a time: a read past the filled rows
@@ -80,14 +74,6 @@ class SignalTraceSet {
   [[nodiscard]] static std::shared_ptr<const SignalTraceSet> fill_on_read(
       std::vector<std::unique_ptr<SignalModel>> models, std::int64_t slots);
 
-  /// Wraps an externally-stored slot-major matrix (users * slots doubles,
-  /// 8-byte aligned) without copying. `keepalive` owns the backing memory
-  /// (e.g. an mmap region) and is held until the set is destroyed. The
-  /// result rejects fill_user.
-  [[nodiscard]] static std::shared_ptr<const SignalTraceSet> adopt_mapping(
-      std::size_t users, std::int64_t slots, std::shared_ptr<const void> keepalive,
-      const double* signal);
-
   /// Fills user `user`'s row by querying `model` for slots 0..slots-1 in
   /// order — the exact call sequence the incremental per-slot path performs,
   /// so the stored values are bit-identical to slot-by-slot signal_dbm calls
@@ -96,8 +82,6 @@ class SignalTraceSet {
 
   [[nodiscard]] std::size_t users() const noexcept { return users_; }
   [[nodiscard]] std::int64_t slots() const noexcept { return slots_; }
-  /// True when the matrix aliases an external mapping (adopt_mapping).
-  [[nodiscard]] bool mapped() const noexcept { return keepalive_ != nullptr; }
 
   /// Rows [0, filled_slots()) hold their values: slots() for a complete set;
   /// for a fill-on-read set, its fill frontier — a multiple of
@@ -121,27 +105,22 @@ class SignalTraceSet {
   [[nodiscard]] const double* row(std::int64_t slot) const {
     if (fill_ != nullptr && slot >= fill_->frontier.load(std::memory_order_acquire))
         [[unlikely]] {
-      fill_through(slot, nullptr);
+      fill_through(slot);
     }
-    return signal_view_ + checked_size(slot) * users_;
+    return signal_.get() + checked_size(slot) * users_;
   }
 
   /// Bounds-checked element accessor (tests, diagnostics); reads through row.
   [[nodiscard]] double signal_dbm(std::size_t user, std::int64_t slot) const;
 
-  /// The whole matrix for whole-matrix readers (the .jst writer, byte
-  /// comparisons); index with index(). A fill-on-read set first fills every
-  /// remaining row, users in parallel over caller_or_shared_pool() as
-  /// generate does, so the bytes are the complete set's. Points into the
-  /// owning array or the adopted mapping — callers cannot tell (and must not
-  /// care) which.
+  /// The whole matrix for whole-matrix readers (byte comparisons, warm-ups
+  /// outside a timed loop); index with index(). A fill-on-read set first
+  /// fills every remaining row on the calling thread, as row() does, so the
+  /// bytes are the complete set's.
   [[nodiscard]] const double* signal_data() const;
 
-  /// Resident bytes of the matrix (8 * users * slots). A mapped set reports
-  /// the same figure: its pages are file-backed and reclaimable, but budget
-  /// accounting treats both modes alike so eviction order does not depend on
-  /// where an entry came from. So does a fill-on-read set, which the cache
-  /// budgets at its full horizon.
+  /// Resident bytes of the matrix (8 * users * slots). A fill-on-read set
+  /// reports the same figure: the cache budgets it at its full horizon.
   [[nodiscard]] std::size_t total_bytes() const noexcept;
 
   /// Estimate of total_bytes for a set of the given dimensions, usable
@@ -161,18 +140,15 @@ class SignalTraceSet {
     std::mutex mutex;
   };
 
-  SignalTraceSet() = default;  // adopt_mapping's blank slate
-
   /// Owning storage left uninitialised; generate and fill_on_read, which
   /// write every cell before anyone can read it, and the public constructor
   /// use it.
   struct Uninitialized {};
   SignalTraceSet(std::size_t users, std::int64_t slots, Uninitialized);
 
-  /// Fills whole blocks from the frontier through the block holding `slot`:
-  /// on the calling thread, allocating nothing, when `pool` is null (row);
-  /// else with users spread over `pool` (signal_data's rest-of-matrix fill).
-  void fill_through(std::int64_t slot, ThreadPool* pool) const;
+  /// Fills whole blocks from the frontier through the block holding `slot`,
+  /// on the calling thread, allocating nothing.
+  void fill_through(std::int64_t slot) const;
 
   /// The one fill routine: writes user `user`'s cells of rows [begin, end)
   /// by walking `model` over those slots in order. Const because a
@@ -183,10 +159,8 @@ class SignalTraceSet {
 
   std::size_t users_ = 0;
   std::int64_t slots_ = 0;
-  std::unique_ptr<double[]> signal_;  ///< sig_i(n), dBm (owning modes)
-  const double* signal_view_ = nullptr;
-  std::shared_ptr<const void> keepalive_;  ///< mapping pin (mapped mode only)
-  std::unique_ptr<FillState> fill_;        ///< fill-on-read mode only
+  std::unique_ptr<double[]> signal_;  ///< sig_i(n), dBm
+  std::unique_ptr<FillState> fill_;   ///< fill-on-read mode only
 };
 
 }  // namespace jstream

@@ -4,7 +4,6 @@
 #include <map>
 #include <mutex>
 #include <tuple>
-#include <unordered_set>
 
 #include "sim/fault.hpp"
 #include "telemetry/registry.hpp"
@@ -90,23 +89,6 @@ void note_campaign_cells(std::size_t cells) {
   telemetry::global_registry()
       .counter("campaign.cells")
       .add(checked_index(cells));
-}
-
-std::vector<std::size_t> lead_cells(std::span<const CampaignCell> cells,
-                                    std::size_t budget_bytes) {
-  std::vector<std::size_t> leads;
-  std::unordered_set<TraceKey, TraceKeyHash> seen;
-  std::size_t bytes = 0;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const ScenarioConfig& scenario = *cells[i].scenario;
-    if (!seen.insert(make_trace_key(scenario, cells[i].session_fingerprint)).second) {
-      continue;
-    }
-    bytes += SignalTraceSet::estimate_bytes(scenario.users, scenario.max_slots);
-    if (bytes > budget_bytes) break;
-    leads.push_back(i);
-  }
-  return leads;
 }
 
 std::vector<RunMetrics> run_campaign(std::span<const ExperimentSpec> specs,

@@ -102,6 +102,9 @@ void validate(const ScenarioConfig& config) {
   if (config.signal_kind == SignalKind::kGaussMarkov) validate(config.gauss_markov);
   if (config.signal_kind == SignalKind::kTrace) {
     require(!config.trace_dbm.empty(), "trace signal kind needs a trace");
+    require(std::ranges::all_of(config.trace_dbm,
+                                [](double sample) { return std::isfinite(sample); }),
+            "trace signal samples must be finite");
   }
   if (config.capacity_kind == CapacityKind::kSine) {
     require(config.capacity_wave_fraction >= 0.0 && config.capacity_wave_fraction < 1.0,

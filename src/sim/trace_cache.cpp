@@ -1,11 +1,10 @@
 #include "sim/trace_cache.hpp"
 
 #include <bit>
-#include <chrono>
 #include <utility>
+#include <vector>
 
 #include "common/thread_pool.hpp"
-#include "sim/trace_store.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/scoped_timer.hpp"
 
@@ -17,7 +16,6 @@ struct TraceCacheTelemetry {
   telemetry::Counter& hits;
   telemetry::Counter& misses;
   telemetry::Counter& evictions;
-  telemetry::Counter& promotions;
   telemetry::Histogram& generate_latency_us;
 
   static TraceCacheTelemetry& instance() {
@@ -25,7 +23,6 @@ struct TraceCacheTelemetry {
     static TraceCacheTelemetry probes{
         registry.counter("trace_cache.hits"), registry.counter("trace_cache.misses"),
         registry.counter("trace_cache.evictions"),
-        registry.counter("trace_cache.promotions"),
         registry.histogram("trace_cache.generate_latency_us")};
     return probes;
   }
@@ -158,11 +155,8 @@ std::shared_ptr<const SignalTraceSet> TraceCache::get_or_generate(
   std::promise<std::shared_ptr<const SignalTraceSet>> promise;
   bool generate = false;
   std::uint64_t serial = 0;
-  TraceStore* store = nullptr;
-  std::vector<SpillItem> spill;
   {
     const std::lock_guard lock(mutex_);
-    store = store_;
     const auto found = index_.find(key);
     if (found != index_.end()) {
       ++hits_;
@@ -179,51 +173,30 @@ std::shared_ptr<const SignalTraceSet> TraceCache::get_or_generate(
                             serial});
       resident_bytes_ += lru_.front().bytes;
       index_.emplace(key, lru_.begin());
-      evict_locked(spill);
+      evict_locked();
     }
   }
-  if (store != nullptr) spill_items(*store, spill);
   if (telemetry::enabled()) {
     (generate ? probes.misses : probes.hits).add();
   }
-  // Set when eviction dropped this call's entry mid-generation (see below).
-  std::shared_ptr<const SignalTraceSet> orphan;
   if (generate) {
     try {
       std::shared_ptr<const SignalTraceSet> set;
-      // Persistent tier first: a warm store serves the matrices zero-copy out
-      // of the page cache instead of rerunning the generation pipeline.
-      if (store != nullptr) {
-        set = store->try_load(trace_key_fingerprint(key), config.users,
-                              config.max_slots);
-      }
-      const bool promoted = set != nullptr;
-      if (!promoted) {
+      {
         // Fill-on-read: the cells that share the set fill only the rows
         // they read, so the timer covers creation, not the walks.
         telemetry::ScopedTimer timer(probes.generate_latency_us);
         set = SignalTraceSet::fill_on_read(signal_models(config), config.max_slots);
       }
-      promise.set_value(set);
-      {
-        const std::lock_guard lock(mutex_);
-        ++(promoted ? promotions_ : generations_);
-        // Eviction may have dropped this entry while it was generating (or
-        // dropped it and a later miss re-inserted the key): then no resident
-        // entry carries this set, so neither evict_locked nor spill_resident
-        // will ever see it. Spill it below or the store never receives it.
-        const auto found = index_.find(key);
-        store = store_;
-        if (!promoted && store != nullptr &&
-            (found == index_.end() || found->second->serial != serial)) {
-          orphan = set;
-        }
-      }
-      if (promoted && telemetry::enabled()) probes.promotions.add();
+      promise.set_value(std::move(set));
+      const std::lock_guard lock(mutex_);
+      ++generations_;
     } catch (...) {
       promise.set_exception(std::current_exception());
       // Forget the poisoned entry so a later call retries; waiters already
-      // holding the future still observe the exception.
+      // holding the future still observe the exception. Eviction may have
+      // dropped it and a later miss re-inserted the key: the serial tells
+      // this call's entry from that one.
       const std::lock_guard lock(mutex_);
       const auto found = index_.find(key);
       if (found != index_.end() && found->second->serial == serial) {
@@ -234,45 +207,7 @@ std::shared_ptr<const SignalTraceSet> TraceCache::get_or_generate(
       throw;
     }
   }
-  if (orphan != nullptr) store->put(trace_key_fingerprint(key), *orphan);
   return future.get();
-}
-
-void TraceCache::attach_store(TraceStore* store) {
-  const std::lock_guard lock(mutex_);
-  store_ = store;
-}
-
-TraceStore* TraceCache::store() const {
-  const std::lock_guard lock(mutex_);
-  return store_;
-}
-
-void TraceCache::spill_resident() {
-  TraceStore* store = nullptr;
-  std::vector<SpillItem> items;
-  {
-    const std::lock_guard lock(mutex_);
-    store = store_;
-    if (store == nullptr) return;
-    items.reserve(lru_.size());
-    for (const Entry& entry : lru_) {
-      if (entry.future.wait_for(std::chrono::seconds(0)) !=
-          std::future_status::ready) {
-        continue;  // generation still in flight on another thread
-      }
-      std::shared_ptr<const SignalTraceSet> set;
-      try {
-        set = entry.future.get();
-      } catch (...) {
-        continue;  // poisoned entry; nothing to persist
-      }
-      if (set != nullptr) {
-        items.push_back(SpillItem{trace_key_fingerprint(entry.key), set});
-      }
-    }
-  }
-  spill_items(*store, items);
 }
 
 std::size_t TraceCache::max_bytes() const {
@@ -281,50 +216,20 @@ std::size_t TraceCache::max_bytes() const {
 }
 
 void TraceCache::set_max_bytes(std::size_t max_bytes) {
-  TraceStore* store = nullptr;
-  std::vector<SpillItem> spill;
-  {
-    const std::lock_guard lock(mutex_);
-    store = store_;
-    max_bytes_ = max_bytes;
-    evict_locked(spill);
-  }
-  if (store != nullptr) spill_items(*store, spill);
+  const std::lock_guard lock(mutex_);
+  max_bytes_ = max_bytes;
+  evict_locked();
 }
 
-void TraceCache::evict_locked(std::vector<SpillItem>& spill) {
+void TraceCache::evict_locked() {
   auto& probes = TraceCacheTelemetry::instance();
   while (lru_.size() > 1 && resident_bytes_ > max_bytes_) {
     const Entry& victim = lru_.back();
-    // Spill completed victims so the persistent tier can answer the next
-    // miss. An entry whose generation is still in flight is dropped here
-    // without spilling: its generating thread finds the entry gone from the
-    // index when it finishes and spills the set itself (get_or_generate).
-    if (store_ != nullptr &&
-        victim.future.wait_for(std::chrono::seconds(0)) ==
-            std::future_status::ready) {
-      std::shared_ptr<const SignalTraceSet> set;
-      try {
-        set = victim.future.get();
-      } catch (...) {
-        set = nullptr;  // poisoned entry; nothing to persist
-      }
-      if (set != nullptr) {
-        spill.push_back(SpillItem{trace_key_fingerprint(victim.key), set});
-      }
-    }
     resident_bytes_ -= victim.bytes;
     index_.erase(victim.key);
     lru_.pop_back();
     ++evictions_;
     if (telemetry::enabled()) probes.evictions.add();
-  }
-}
-
-void TraceCache::spill_items(TraceStore& store,
-                             const std::vector<SpillItem>& items) {
-  for (const SpillItem& item : items) {
-    store.put(item.fingerprint, *item.set);
   }
 }
 
@@ -356,11 +261,6 @@ std::uint64_t TraceCache::evictions() const {
 std::uint64_t TraceCache::generations() const {
   const std::lock_guard lock(mutex_);
   return generations_;
-}
-
-std::uint64_t TraceCache::promotions() const {
-  const std::lock_guard lock(mutex_);
-  return promotions_;
 }
 
 void TraceCache::clear() {

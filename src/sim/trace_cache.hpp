@@ -31,7 +31,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "radio/signal_trace.hpp"
 #include "sim/scenario.hpp"
@@ -73,11 +72,7 @@ struct TraceKey {
 };
 
 /// Stable 64-bit identity of a trace key: an FNV-1a fold over every key
-/// field. This is the fingerprint the persistent tier (TraceStore) names
-/// files by and stamps into trace-set headers, so its value is part of the
-/// on-disk contract — changing the fold invalidates every stored file, so it
-/// changes only together with kTraceSetFileVersion (version 2 dropped the
-/// link-model fingerprint from the fold).
+/// field, which TraceKeyHash truncates for the cache's index.
 [[nodiscard]] std::uint64_t trace_key_fingerprint(const TraceKey& key) noexcept;
 
 /// Hash functor for unordered_map<TraceKey, ...>.
@@ -102,12 +97,7 @@ struct TraceKeyHash {
 [[nodiscard]] std::shared_ptr<const SignalTraceSet> generate_signal_trace_set(
     const ScenarioConfig& config);
 
-class TraceStore;
-
-/// Thread-safe byte-budgeted LRU cache of fill-on-read trace sets, with an
-/// optional persistent tier underneath (attach_store): evicted entries spill
-/// to disk and misses promote from disk (zero-copy mmap) before falling back
-/// to creating a set.
+/// Thread-safe byte-budgeted LRU cache of fill-on-read trace sets.
 class TraceCache {
  public:
   /// `max_bytes` budgets the resident trace matrices (estimate_bytes per
@@ -120,24 +110,9 @@ class TraceCache {
   /// trace_cache.generate_latency_us histogram times set creation (building
   /// the models and allocating the matrix), not the walks. Concurrent
   /// callers for the same key share one creation. Propagates creation
-  /// failures (and forgets the entry so later calls retry). With a store
-  /// attached, a miss consults the store before creating, and entries
-  /// evicted by the insertion spill to the store, filling their remaining
-  /// rows first.
+  /// failures (and forgets the entry so later calls retry).
   [[nodiscard]] std::shared_ptr<const SignalTraceSet> get_or_generate(
       const ScenarioConfig& config, std::uint64_t session_fingerprint = 0);
-
-  /// Attaches (or detaches, with nullptr) the persistent tier. The store must
-  /// outlive the cache or the next attach_store call. Not owned.
-  void attach_store(TraceStore* store);
-  [[nodiscard]] TraceStore* store() const;
-
-  /// Spills every resident entry whose creation completed to the attached
-  /// store (no eviction), filling each set's remaining rows first, so the
-  /// stored file is the complete matrix. Campaigns call this at end of run so
-  /// a warm store holds the whole working set, not just what happened to
-  /// overflow the LRU budget. No-op without a store.
-  void spill_resident();
 
   [[nodiscard]] std::size_t max_bytes() const;
   void set_max_bytes(std::size_t max_bytes);
@@ -147,11 +122,9 @@ class TraceCache {
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;
   [[nodiscard]] std::uint64_t evictions() const;
-  /// Misses served by creating a new set (a warm-store campaign should
-  /// report zero of these).
+  /// Misses served by creating a new set (a creation that threw is not
+  /// counted).
   [[nodiscard]] std::uint64_t generations() const;
-  /// Misses served zero-copy from the attached store.
-  [[nodiscard]] std::uint64_t promotions() const;
   void clear();
 
   static constexpr std::size_t kDefaultMaxBytes = std::size_t{1} << 30;
@@ -166,22 +139,9 @@ class TraceCache {
     std::uint64_t serial = 0;  ///< unique per insertion; tells a re-insert apart
   };
 
-  /// One evicted entry queued for a spill outside the lock.
-  struct SpillItem {
-    std::uint64_t fingerprint = 0;
-    std::shared_ptr<const SignalTraceSet> set;
-  };
-
   /// Drops LRU entries until the budget holds (keeps >= 1 entry). Caller
-  /// must hold mutex_. When a store is attached, victims whose generation
-  /// already completed are collected into `spill` — the caller writes them
-  /// after releasing the lock (a spill is tens of MB of I/O; holding the
-  /// cache mutex across it would serialize every concurrent shard). A victim
-  /// still generating is spilled by its generating thread instead.
-  void evict_locked(std::vector<SpillItem>& spill);
-
-  /// Writes queued victims to `store`. Called without mutex_ held.
-  static void spill_items(TraceStore& store, const std::vector<SpillItem>& items);
+  /// must hold mutex_.
+  void evict_locked();
 
   mutable std::mutex mutex_;
   std::list<Entry> lru_;  ///< front = most recently used
@@ -192,9 +152,7 @@ class TraceCache {
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t generations_ = 0;
-  std::uint64_t promotions_ = 0;
   std::uint64_t next_serial_ = 0;
-  TraceStore* store_ = nullptr;  ///< persistent tier; not owned
 };
 
 /// Process-wide cache shared by the campaign runner and the bench harness.

@@ -2,9 +2,10 @@
 // configuration via the `concurrency` label). A cache miss returns a set
 // whose rows fill on first read; campaign cells that share it read it from
 // different workers, each at its own pace, and a whole-matrix reader (a
-// spill) may fill the rest while they run. Every row every reader sees must
-// equal the eager generate_signal_trace_set's byte for byte, whichever reader
-// filled it, and the frontier must end where the furthest read put it.
+// byte comparison) may fill the rest while they run. Every row every reader
+// sees must equal the eager generate_signal_trace_set's byte for byte,
+// whichever reader filled it, and the frontier must end where the furthest
+// read put it.
 
 #include "sim/trace_cache.hpp"
 
@@ -77,9 +78,9 @@ TEST(TraceFillOnRead, FourReadersAtDifferentPacesSeeTheEagerBytes) {
   }
 }
 
-// signal_data() fills the rest of the matrix with users spread over the
-// shared pool while holding the set's mutex; row readers racing it must
-// still see the eager bytes, and the fill must not wait on them.
+// signal_data() fills the rest of the matrix on its own thread while holding
+// the set's mutex; row readers racing it must still see the eager bytes, and
+// the fill must not wait on them.
 TEST(TraceFillOnRead, WholeMatrixFillRacesRowReaders) {
   const ScenarioConfig config = scenario(SignalKind::kSine);
   const std::shared_ptr<const SignalTraceSet> eager = generate_signal_trace_set(config);

@@ -4,8 +4,8 @@
 // the public API, whichever thread calls it: the main
 // thread (the process-wide shared pool) or a task of a 1-worker or 4-worker
 // pool (that pool, with the caller claiming work). A campaign with fewer
-// trace keys than threads, where idle workers join the lead pass's one
-// generation, must digest equal to its one-thread run.
+// trace keys than threads, whose workers all read the one key's fill-on-read
+// trace, must digest equal to its one-thread run.
 
 #include "sim/trace_cache.hpp"
 
@@ -121,8 +121,8 @@ TEST(TraceGenerationParallel, EveryWorkerGeneratingAtOnceMatchesSerialReference)
 }
 
 TEST(TraceGenerationParallel, OneSeedCampaignOnFourThreadsMatchesOneThread) {
-  // One trace key, seven cells: three of four workers have no lead cell of
-  // their own and help the one generation instead.
+  // One trace key, seven cells: four workers share its one creation and
+  // fill its rows as they read them.
   std::vector<CampaignSeries> series;
   for (const char* name : {"default", "throttling", "onoff", "salsa", "estreamer", "rtma",
                            "ema-fast"}) {

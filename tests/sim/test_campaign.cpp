@@ -197,31 +197,14 @@ TEST(Campaign, UncachedModeMatchesCachedMode) {
   EXPECT_EQ(cache.hits(), 0u);
 }
 
-TEST(Campaign, LeadCellsAreEachKeysFirstCellWithinTheBudget) {
-  const std::vector<CampaignSeries> series = {{"default", "default", {}},
-                                              {"rtma", "rtma", {}}};
-  const std::vector<ExperimentSpec> specs =
-      make_campaign_grid(small_scenario(), series, /*replications=*/3);
-  std::vector<CampaignCell> cells;
-  for (const ExperimentSpec& spec : specs) cells.push_back({&spec.scenario, 0});
-  // A service cell over the first seed's scenario is a key of its own.
-  cells.push_back({&specs[0].scenario, /*session_fingerprint=*/7});
-
-  const std::size_t trace_bytes =
-      SignalTraceSet::estimate_bytes(small_scenario().users, small_scenario().max_slots);
-  EXPECT_EQ(lead_cells(cells, 4 * trace_bytes), (std::vector<std::size_t>{0, 2, 4, 6}));
-  EXPECT_EQ(lead_cells(cells, 2 * trace_bytes + 1), (std::vector<std::size_t>{0, 2}));
-  EXPECT_TRUE(lead_cells(cells, trace_bytes - 1).empty());
-}
-
 TEST(Campaign, GridPastTheCacheBudgetStillLooksUpOncePerCell) {
   const std::vector<CampaignSeries> series = {{"default", "default", {}},
                                               {"ema-fast", "ema-fast", {}}};
   const std::vector<ExperimentSpec> specs =
       make_campaign_grid(small_scenario(), series, /*replications=*/3);
 
-  // Room for one trace: the lead pass prefetches the first seed only and
-  // the other seeds load on demand.
+  // Room for one trace: each seed's trace evicts the last, so a seed's later
+  // cells may miss again, yet every cell still looks up exactly once.
   TraceCache cache(SignalTraceSet::estimate_bytes(small_scenario().users,
                                                   small_scenario().max_slots));
   CampaignOptions cached;

@@ -183,6 +183,21 @@ TEST(Scenario, NonFiniteRadioProfileIsRejected) {
                              "T2 must be finite");
 }
 
+// Non-empty is not enough: a non-finite sample would reach the Eq. 24 fit of
+// the slot that replays it and fail there, naming no field.
+TEST(Scenario, NonFiniteTraceSamplesAreRejected) {
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    ScenarioConfig config = paper_scenario(5);
+    config.signal_kind = SignalKind::kTrace;
+    config.trace_dbm = {-80.0, bad, -90.0};
+    const std::string error = validate_error(config);
+    EXPECT_NE(error.find("trace signal samples must be finite"), std::string::npos)
+        << "value " << bad << ": got \"" << error << "\"";
+  }
+}
+
 TEST(Scenario, InfiniteBackhaulStaysUnlimited) {
   ScenarioConfig config = paper_scenario(5);
   config.backhaul_kbps = std::numeric_limits<double>::infinity();

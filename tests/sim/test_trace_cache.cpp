@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "baselines/factory.hpp"
 #include "sim/metrics.hpp"
 #include "sim/scenario.hpp"
@@ -199,7 +201,10 @@ TEST(TraceCacheTest, EvictsLeastRecentlyUsedOverBudget) {
   TraceCache cache(2 * entry_bytes);  // room for two entries
 
   (void)cache.get_or_generate(a);
-  (void)cache.get_or_generate(b);
+  // Held across its eviction, and read only partly, as a cell that stopped
+  // early leaves it.
+  const std::shared_ptr<const SignalTraceSet> evicted = cache.get_or_generate(b);
+  (void)evicted->row(0);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 0u);
 
@@ -210,8 +215,11 @@ TEST(TraceCacheTest, EvictsLeastRecentlyUsedOverBudget) {
   const std::uint64_t misses = cache.misses();
   (void)cache.get_or_generate(a);  // still resident
   EXPECT_EQ(cache.misses(), misses);
-  (void)cache.get_or_generate(b);  // evicted: regenerates
-  EXPECT_EQ(cache.misses(), misses + 1);
+  const std::shared_ptr<const SignalTraceSet> served = cache.get_or_generate(b);
+  EXPECT_EQ(cache.misses(), misses + 1);  // evicted: created anew
+  EXPECT_NE(served.get(), evicted.get());
+  EXPECT_EQ(std::memcmp(served->signal_data(), evicted->signal_data(), evicted->total_bytes()),
+            0);
 }
 
 TEST(TraceCacheTest, MostRecentEntrySurvivesATinyBudget) {
