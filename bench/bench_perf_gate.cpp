@@ -17,10 +17,14 @@
 //     at N = 40 under the fault sweep's "high" level (the fault hook's
 //     degrade and reconcile on the slot path). The N = 200 rows run in
 //     alternating blocks and report the block median with a distribution-
-//     free 95% interval. Two gates live here: exact EMA at N = 1000 must run
-//     under 1 ms/slot, and every row must allocate nothing in its measured
-//     window. This binary replaces the global operator new to count
-//     allocations.
+//     free 95% interval. A streamed service row steps a full N = 1000
+//     service cell through ServiceSimulator with no trace, so it reads its
+//     own SignalTraceSet::stream, against the same cell handed the eager
+//     trace, in alternating blocks; the two must digest equally. Two gates
+//     live here: exact EMA at N = 1000 must run under 1 ms/slot, and every
+//     row — the streamed one with its look-ahead posts and pool-side fills
+//     — must allocate nothing in its measured window. This binary replaces
+//     the global operator new to count allocations.
 //  3. Campaign gate: a 7-scheduler x 8-seed grid at N = 200 over the full
 //     10000-slot horizon, run with per-cell trace regeneration and through
 //     a fresh shared trace cache in 4 alternating blocks. Every run must be
@@ -39,7 +43,10 @@
 //  5. Service-scale gate: one trace-less 110k-population service run (the
 //     numbers bench_service_steady part 3 reports): ns/user-slot ceiling,
 //     RSS at the horizon <= 1.5x RSS after the fill, and the sustained
-//     >= 100k concurrency floor, all enforced at full scale.
+//     >= 100k concurrency floor, all enforced at full scale. The run streams
+//     its channel in one-row blocks (a row is 880 KB), so the stream adds
+//     two rows, not the 264 MB a full-horizon matrix would; the end RSS is
+//     reported next to the figure BENCH_PR30.json recorded before streams.
 //  6. Telemetry cost: the N = 1000 exact-EMA slot path and the 4-thread
 //     pool grid, each run with telemetry off and on in alternating blocks.
 //     Both sides must digest equally (telemetry is observation-only),
@@ -58,7 +65,7 @@
 //     schedule per key, enforced at every scale; wall times are reported,
 //     not gated.
 //
-// Results land in BENCH_PR30.json (override with --out <path>); the JSON
+// Results land in BENCH_PR32.json (override with --out <path>); the JSON
 // schema is documented in docs/PERFORMANCE.md. REPRO_SLOTS in the
 // environment shrinks every loop for smoke runs. The paper-invariant
 // validator must stay at its compiled-out-of-the-hot-path default here: the
@@ -892,6 +899,97 @@ ServiceScaleResult bench_service_scale(bool full, std::int64_t horizon) {
 }
 
 // ---------------------------------------------------------------------------
+// Streamed service row: a live N = 1000 service cell reading its own stream,
+// against the same cell handed the eager trace.
+// ---------------------------------------------------------------------------
+
+struct StreamedServiceResult {
+  std::size_t population = 0;
+  std::int64_t stream_block_slots = 0;  ///< rows per stream block
+  std::int64_t blocks = 0;              ///< alternating blocks
+  std::int64_t measured_steps = 0;      ///< per side
+  double ns_per_step = 0.0;             ///< streamed side, median step
+  double ns_per_step_eager = 0.0;       ///< eager-trace side, median step
+  double allocs_per_step = 0.0;         ///< both sides' measured windows
+  std::int64_t stream_blocks = 0;       ///< trace.stream_blocks over the run
+  std::int64_t reader_rows = 0;         ///< trace.stream_reader_fills over the run
+  std::uint64_t streamed_digest = 0;
+  std::uint64_t eager_digest = 0;
+};
+
+StreamedServiceResult bench_streamed_service(std::int64_t warmup, std::int64_t blocks,
+                                             std::int64_t steps_per_block) {
+  // Every session binds in slot 0 and outlives the horizon, so each measured
+  // step is a quiescent slot at full concurrency: the window holds no event
+  // boundary (binds draw content and may allocate), only the slot path and,
+  // on the streamed side, a look-ahead post every 32 slots and its fills on
+  // the shared pool.
+  constexpr std::size_t kUsers = 1000;
+  ServiceConfig config;
+  config.cell = paper_scenario(kUsers, 42);
+  config.cell.capacity_kbps = 500.0 * as_double(kUsers);
+  config.cell.max_slots = warmup + blocks * steps_per_block;
+  config.cell.video_min_mb = 5000.0;
+  config.cell.video_max_mb = 6000.0;
+  config.arrivals.kind = ArrivalKind::kTrace;
+  config.arrivals.trace_counts = {checked_index(kUsers)};
+
+  StreamedServiceResult result;
+  result.population = kUsers;
+  result.stream_block_slots = SignalTraceSet::stream_block_slots(kUsers);
+  result.blocks = blocks;
+  result.measured_steps = blocks * steps_per_block;
+  auto& registry = telemetry::global_registry();
+  const std::int64_t stream_blocks_before = registry.counter("trace.stream_blocks").value();
+  const std::int64_t reader_rows_before =
+      registry.counter("trace.stream_reader_fills").value();
+
+  const auto scheduler = [] {
+    SchedulerOptions options;
+    options.ema.v_weight = 0.05;
+    return make_scheduler("ema", options);
+  };
+  ServiceSimulator streamed(config, scheduler(), SchedulingMode::kEnergyMinimization);
+  ServiceSimulator eager(config, scheduler(), SchedulingMode::kEnergyMinimization,
+                         generate_signal_trace_set(config.cell));
+  for (std::int64_t step = 0; step < warmup; ++step) {
+    (void)streamed.step();
+    (void)eager.step();
+  }
+  // Per-step samples, reserved up front so sampling stays off the allocation
+  // counter. Medians, not means: the few slots where Eq. 2 binds run the
+  // full DP on both sides (milliseconds at N = 1000), and one of them in a
+  // block would decide a mean.
+  std::vector<double> streamed_ns;
+  std::vector<double> eager_ns;
+  streamed_ns.reserve(checked_size(result.measured_steps));
+  eager_ns.reserve(checked_size(result.measured_steps));
+  std::uint64_t allocs = 0;
+  for (std::int64_t block = 0; block < blocks; ++block) {
+    for (const bool streamed_side : {block % 2 == 0, block % 2 != 0}) {
+      ServiceSimulator& simulator = streamed_side ? streamed : eager;
+      std::vector<double>& samples = streamed_side ? streamed_ns : eager_ns;
+      const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+      for (std::int64_t step = 0; step < steps_per_block; ++step) {
+        const auto start = Clock::now();
+        (void)simulator.step();
+        samples.push_back(std::chrono::duration<double, std::nano>(Clock::now() - start).count());
+      }
+      allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
+    }
+  }
+  result.ns_per_step = percentile(streamed_ns, 0.5);
+  result.ns_per_step_eager = percentile(eager_ns, 0.5);
+  result.allocs_per_step = as_double(allocs) / as_double(2 * result.measured_steps);
+  result.streamed_digest = service_digest(streamed.finish());
+  result.eager_digest = service_digest(eager.finish());
+  result.stream_blocks = registry.counter("trace.stream_blocks").value() - stream_blocks_before;
+  result.reader_rows =
+      registry.counter("trace.stream_reader_fills").value() - reader_rows_before;
+  return result;
+}
+
+// ---------------------------------------------------------------------------
 // Telemetry cost: the same work with telemetry off and on, in alternating
 // blocks, digest-checked.
 // ---------------------------------------------------------------------------
@@ -1020,7 +1118,7 @@ TelemetryCostResult bench_telemetry_cost(std::int64_t horizon, std::int64_t warm
 // ---------------------------------------------------------------------------
 
 int run(int argc, const char* const* argv) {
-  std::string out_path = "BENCH_PR30.json";
+  std::string out_path = "BENCH_PR32.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--out" && i + 1 < argc) {
@@ -1084,8 +1182,22 @@ int run(int argc, const char* const* argv) {
   // allocation gate covers the cursor walk.
   slot_cases.push_back(bench_slot_path("ema", 40, warmup, clamp(200), clamp(50),
                                        &bench::fault_sweep_levels().back()));
+  std::printf("streamed service (N=1000 service cell, own stream vs eager trace)\n");
+  const StreamedServiceResult streamed = bench_streamed_service(clamp(30), 8, clamp(25));
+  std::printf(
+      "  %zu sessions, %lld-row stream blocks: streamed %9.0f ns/step   eager trace %9.0f "
+      "ns/step (medians)   %7.2f allocs/step   %lld blocks filled, %lld rows by the reader"
+      "   %s\n",
+      streamed.population, static_cast<long long>(streamed.stream_block_slots),
+      streamed.ns_per_step, streamed.ns_per_step_eager, streamed.allocs_per_step,
+      static_cast<long long>(streamed.stream_blocks),
+      static_cast<long long>(streamed.reader_rows),
+      streamed.streamed_digest == streamed.eager_digest ? "digest streamed == eager"
+                                                       : "digest streamed != eager (MISMATCH)");
+  const bool streamed_pass = streamed.streamed_digest == streamed.eager_digest;
+
   double ema_1000_ns_per_slot = -1.0;
-  double max_allocs_per_slot = 0.0;
+  double max_allocs_per_slot = streamed.allocs_per_step;
   for (const SlotCase& c : slot_cases) {
     if (c.scheduler == "ema" && c.users == 1000) ema_1000_ns_per_slot = c.ns_per_slot;
     max_allocs_per_slot = std::max(max_allocs_per_slot, c.allocs_per_slot);
@@ -1164,6 +1276,9 @@ int run(int argc, const char* const* argv) {
   constexpr double kMaxServiceNsPerUserSlot = 1000.0;
   constexpr double kMaxServiceRssRatio = 1.5;
   constexpr double kMinServiceConcurrency = 100000.0;
+  // End RSS BENCH_PR30.json recorded for this run before it streamed its
+  // channel; reported for comparison, not gated.
+  constexpr long kPr30ServiceRssEndKb = 161024;
   const bool service_enforced = repro == 0;
   std::printf("service scale (trace-less Poisson fill, default scheduler)\n");
   const ServiceScaleResult service =
@@ -1171,12 +1286,12 @@ int run(int argc, const char* const* argv) {
   std::printf(
       "  %zu population slots, %lld slots: mean concurrency %.0f, peak %zu, "
       "%zu still streaming; %.0f ns/slot (%.1f ns/user-slot); RSS %.1f MB "
-      "after fill, %.1f MB at end\n",
+      "after fill, %.1f MB at end (BENCH_PR30: %.1f MB)\n",
       service.population, static_cast<long long>(service.slots_run),
       service.mean_concurrency, service.peak_concurrency, service.live_at_end,
       service.ns_per_slot, service.ns_per_user_slot,
       as_double(service.rss_fill_kb) / 1000.0,
-      as_double(service.rss_end_kb) / 1000.0);
+      as_double(service.rss_end_kb) / 1000.0, as_double(kPr30ServiceRssEndKb) / 1000.0);
   const bool service_rss_ok =
       service.rss_fill_kb <= 0 || service.rss_end_kb <= 0 ||
       as_double(service.rss_end_kb) <=
@@ -1245,7 +1360,7 @@ int run(int argc, const char* const* argv) {
   std::ofstream json(out_path);
   require(json.good(), "cannot open perf-gate output file");
   json << "{\n";
-  json << "  \"schema\": \"jstream-perf-gate-v14\",\n";
+  json << "  \"schema\": \"jstream-perf-gate-v15\",\n";
   json << "  \"workload\": \"paper_scenario(users, seed=42), capacity 500 KB/s per user\",\n";
   json << "  \"gate\": {\"metric\": \"solver[0].speedup_vs_reference\", \"min_speedup\": "
        << kMinSpeedup << ", \"pass\": " << (solver_gate_pass ? "true" : "false") << "},\n";
@@ -1254,7 +1369,8 @@ int run(int argc, const char* const* argv) {
        << ", \"measured_ns_per_slot\": " << ema_1000_ns_per_slot
        << ", \"enforced\": " << (ema_gate_enforced ? "true" : "false")
        << ", \"pass\": " << (ema_gate_pass ? "true" : "false") << "},\n";
-  json << "  \"alloc_gate\": {\"metric\": \"max(slot_path[*].allocs_per_slot)\", "
+  json << "  \"alloc_gate\": {\"metric\": \"max(slot_path[*].allocs_per_slot, "
+       << "streamed_service.allocs_per_step)\", "
        << "\"max_allocs_per_slot\": 0"
        << ", \"measured_allocs_per_slot\": " << max_allocs_per_slot
        << ", \"enforced\": true, \"pass\": " << (alloc_gate_pass ? "true" : "false")
@@ -1310,6 +1426,7 @@ int run(int argc, const char* const* argv) {
        << ", \"live_at_end\": " << service.live_at_end
        << ", \"rss_fill_kb\": " << service.rss_fill_kb
        << ", \"rss_end_kb\": " << service.rss_end_kb
+       << ", \"rss_end_kb_bench_pr30\": " << kPr30ServiceRssEndKb
        << ", \"enforced\": " << (service_enforced ? "true" : "false")
        << ", \"pass\": " << (service_pass ? "true" : "false") << "},\n";
   json << "  \"telemetry_gate\": {\"metric\": \"telemetry_cost.*.on_digest == "
@@ -1386,7 +1503,21 @@ int run(int argc, const char* const* argv) {
     emit_slot_case(json, slot_cases[i]);
     json << (i + 1 < slot_cases.size() ? "," : "") << "\n";
   }
-  json << "  ]\n";
+  json << "  ],\n";
+  json << "  \"streamed_service\": {\"scheduler\": \"ema\", \"population\": "
+       << streamed.population
+       << ", \"stream_block_slots\": " << streamed.stream_block_slots
+       << ", \"blocks\": " << streamed.blocks
+       << ", \"measured_steps\": " << streamed.measured_steps
+       << ", \"ns_per_step\": " << streamed.ns_per_step
+       << ", \"ns_per_step_eager_trace\": " << streamed.ns_per_step_eager
+       << ", \"allocs_per_step\": " << streamed.allocs_per_step
+       << ", \"stream_blocks\": " << streamed.stream_blocks
+       << ", \"reader_rows\": " << streamed.reader_rows
+       << ", \"streamed_digest\": \"" << hex_digest(streamed.streamed_digest)
+       << "\", \"eager_digest\": \"" << hex_digest(streamed.eager_digest)
+       << "\", \"enforced\": true, \"pass\": " << (streamed_pass ? "true" : "false")
+       << "}\n";
   json << "}\n";
   json.close();
   std::printf("wrote %s\n", out_path.c_str());
@@ -1408,6 +1539,15 @@ int run(int argc, const char* const* argv) {
                  "PERF GATE FAILED: a slot-path row allocates %.2f times per slot "
                  "in steady state (must be 0)\n",
                  max_allocs_per_slot);
+    return 1;
+  }
+  if (!streamed_pass) {
+    std::fprintf(stderr,
+                 "PERF GATE FAILED: the streamed N=%zu service cell (digest %016llx) "
+                 "differs from the eager-trace run (digest %016llx)\n",
+                 streamed.population,
+                 static_cast<unsigned long long>(streamed.streamed_digest),
+                 static_cast<unsigned long long>(streamed.eager_digest));
     return 1;
   }
   if (!campaign_pass) {
@@ -1466,6 +1606,7 @@ int run(int argc, const char* const* argv) {
   }
   std::printf(
       "perf gate passed (solver %.1fx >= %.1fx; ema N=1000 %s; 0 allocs/slot; "
+      "streamed service bit-identical to its eager trace; "
       "campaign %.2fx%s; "
       "pool bit-identical to 1 thread; shared fault schedules bit-identical, one "
       "per key; service scale %s; "

@@ -105,10 +105,12 @@ else
 fi
 
 if [[ "${SKIP_PERF:-0}" != 1 ]]; then
-  stage "7/8 perf gate (bench_perf_gate -> BENCH_PR30.json)"
+  stage "7/8 perf gate (bench_perf_gate -> BENCH_PR32.json)"
   # Enforces the pinned regression gates: the exact-EMA solver >= 5x over the
   # paper-literal DP, exact EMA < 1 ms/slot end-to-end at N = 1000, zero
-  # steady-state allocations in every slot-path row (a faulted one included),
+  # steady-state allocations in every slot-path row (a faulted one included)
+  # and in the streamed N = 1000 service row, that row digest-equal to the
+  # same cell over an eager trace,
   # the campaign cache >= 3x on the full grid (mean wall times of four
   # alternating blocks), the pooled campaign
   # bit-identical to one thread, shared fault schedules bit-identical to
@@ -119,7 +121,7 @@ if [[ "${SKIP_PERF:-0}" != 1 ]]; then
   # timing/scale gates turn informational (the binary still verifies solver
   # agreement, the allocation gate, and the bit-identity gates); unset it
   # for the real gate.
-  build/bench/bench_perf_gate --out build/BENCH_PR30.json
+  build/bench/bench_perf_gate --out build/BENCH_PR32.json
 else
   stage "7/8 perf gate — SKIPPED (SKIP_PERF=1)"
 fi

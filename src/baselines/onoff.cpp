@@ -1,6 +1,7 @@
 #include "baselines/onoff.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.hpp"
 
@@ -8,6 +9,9 @@ namespace jstream {
 
 OnOffScheduler::OnOffScheduler(double low_watermark_s, double high_watermark_s)
     : low_s_(low_watermark_s), high_s_(high_watermark_s) {
+  // +inf passes the range checks and never switches a user off.
+  require(std::isfinite(low_s_), "ON-OFF low watermark must be finite");
+  require(std::isfinite(high_s_), "ON-OFF high watermark must be finite");
   require(low_s_ >= 0.0, "low watermark must be non-negative");
   require(high_s_ > low_s_, "high watermark must exceed the low watermark");
 }

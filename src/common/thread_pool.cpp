@@ -11,6 +11,10 @@ namespace {
 
 thread_local ThreadPool* t_current_pool = nullptr;
 
+/// Initial ring capacity: more than a campaign's helpers plus a few streams'
+/// look-aheads, so most pools never grow it.
+constexpr std::size_t kInitialRingSlots = 64;
+
 /// The state of one parallel_for call. Helper tasks share ownership, so a
 /// helper that starts after the call returned still has a counter to claim
 /// from; it finds every chunk taken and leaves `fn` alone.
@@ -51,7 +55,7 @@ struct ChunkedLoop {
 
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t threads) {
+ThreadPool::ThreadPool(std::size_t threads) : ring_(kInitialRingSlots) {
   if (threads == 0) threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
@@ -71,7 +75,17 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::post(std::function<void()> task) {
   {
     const std::lock_guard lock(mutex_);
-    queue_.push_back(std::move(task));
+    if (queued_ == ring_.size()) {
+      // Full: unroll the ring into one twice its size, oldest task first.
+      std::vector<std::function<void()>> grown(2 * ring_.size());
+      for (std::size_t i = 0; i < queued_; ++i) {
+        grown[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+      }
+      ring_ = std::move(grown);
+      head_ = 0;
+    }
+    ring_[(head_ + queued_) & (ring_.size() - 1)] = std::move(task);
+    ++queued_;
   }
   cv_.notify_one();
 }
@@ -84,13 +98,16 @@ void ThreadPool::worker_loop() {
     std::function<void()> task;
     {
       std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
+      cv_.wait(lock, [this] { return stopping_ || queued_ > 0; });
+      if (queued_ == 0) {
         if (stopping_) return;
         continue;
       }
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      // Swap leaves the slot empty (a moved-from std::function is only
+      // valid), so the ring keeps no finished task's captures alive.
+      task.swap(ring_[head_]);
+      head_ = (head_ + 1) & (ring_.size() - 1);
+      --queued_;
     }
     task();
   }

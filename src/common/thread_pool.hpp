@@ -1,11 +1,11 @@
 // Fixed-size worker pool used to run independent simulation configurations
-// concurrently (parameter sweeps, replicated seeds). Tasks are type-erased
-// thunks; results flow back through futures or the parallel_for helper.
+// concurrently (parameter sweeps, replicated seeds) and a live run's channel
+// look-ahead (SignalTraceSet::stream). Tasks are type-erased thunks; results
+// flow back through futures or the parallel_for helper.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -16,7 +16,11 @@
 namespace jstream {
 
 /// A minimal task-queue thread pool. Safe to submit from multiple threads;
-/// destruction drains outstanding tasks before joining.
+/// destruction drains outstanding tasks before joining. The queue is a ring
+/// that grows only when it is full, so once a pool has seen its deepest
+/// backlog a post allocates nothing for a task that std::function stores in
+/// place (libstdc++: a trivially copyable callable of at most 16 bytes, such
+/// as a lambda capturing one pointer and one integer).
 class ThreadPool {
  public:
   /// Creates `threads` workers; 0 selects std::thread::hardware_concurrency()
@@ -38,7 +42,7 @@ class ThreadPool {
   }
 
   /// Schedules `task` with no future to report through; `task` must not
-  /// throw.
+  /// throw. Tasks start in the order they were posted.
   void post(std::function<void()> task);
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
@@ -51,7 +55,12 @@ class ThreadPool {
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
+  /// Pending tasks: queued_ of them, in post order, from ring_[head_] on,
+  /// wrapping. The capacity is a power of two and doubles when a post finds
+  /// the ring full. All three are guarded by mutex_.
+  std::vector<std::function<void()>> ring_;
+  std::size_t head_ = 0;
+  std::size_t queued_ = 0;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;

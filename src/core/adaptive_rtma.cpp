@@ -9,6 +9,19 @@
 namespace jstream {
 namespace {
 
+/// Rejects non-finite controller settings by name before anything reads
+/// them: the inner RTMA is built from the target, and every +inf here passed
+/// the range checks and ran silently.
+const AdaptiveRtmaConfig& checked(const AdaptiveRtmaConfig& config) {
+  require(std::isfinite(config.target_energy_mj), "adaptive RTMA target energy must be finite");
+  require(std::isfinite(config.max_step), "adaptive RTMA max step must be finite");
+  require(std::isfinite(config.min_budget_mj),
+          "adaptive RTMA minimum budget must be finite");
+  require(std::isfinite(config.max_budget_mj),
+          "adaptive RTMA maximum budget must be finite");
+  return config;
+}
+
 RtmaConfig initial_inner_config(const AdaptiveRtmaConfig& config) {
   RtmaConfig inner = config.rtma;
   if (!std::isfinite(inner.energy_budget_mj)) {
@@ -20,7 +33,7 @@ RtmaConfig initial_inner_config(const AdaptiveRtmaConfig& config) {
 }  // namespace
 
 AdaptiveRtmaScheduler::AdaptiveRtmaScheduler(AdaptiveRtmaConfig config)
-    : config_(config), inner_(initial_inner_config(config)) {
+    : config_(checked(config)), inner_(initial_inner_config(config_)) {
   require(config_.target_energy_mj > 0.0, "target energy must be positive");
   require(config_.window_slots > 0, "window must be positive");
   require(config_.max_step > 1.0, "max step must exceed 1");

@@ -35,6 +35,14 @@ struct RtmaTelemetry {
 }  // namespace
 
 RtmaScheduler::RtmaScheduler(RtmaConfig config) : config_(config) {
+  // +inf tail power prices every slot out of the budget, so nothing is ever
+  // sent; an infinite signal range end fails only at the first Eq. 24 fit.
+  // NaN tail power (the radio's own tail average) and an infinite budget (no
+  // budget) are the documented sentinels.
+  require(std::isnan(config_.tail_power_mw) || std::isfinite(config_.tail_power_mw),
+          "RTMA tail power must be finite (NaN selects the radio's tail average)");
+  require(std::isfinite(config_.min_dbm), "RTMA signal range minimum must be finite");
+  require(std::isfinite(config_.max_dbm), "RTMA signal range maximum must be finite");
   require(config_.energy_budget_mj > 0.0, "energy budget must be positive");
   require(config_.min_dbm < config_.max_dbm, "signal range is empty");
 }

@@ -19,6 +19,8 @@ void validate(const SineSignalParams& params) {
   require(std::isfinite(params.min_dbm), "sine signal minimum must be finite");
   require(std::isfinite(params.max_dbm), "sine signal maximum must be finite");
   require(std::isfinite(params.noise_stddev_db), "sine noise stddev must be finite");
+  // +inf flattens the sine to its midpoint.
+  require(std::isfinite(params.period_slots), "sine period must be finite");
   require(params.min_dbm < params.max_dbm, "sine signal range is empty");
   require(params.period_slots > 0.0, "sine period must be positive");
   require(params.noise_stddev_db >= 0.0, "noise stddev must be non-negative");

@@ -71,18 +71,7 @@ ServiceSimulator::ServiceSimulator(ServiceConfig config,
     batch_scheduler_ = std::move(scheduler);
     return;
   }
-  if (trace_ != nullptr) {
-    require(trace_->users() == cell.users, "trace population mismatch");
-    require(trace_->slots() >= cell.max_slots, "trace shorter than the horizon");
-  }
-
-  manager_ = std::make_unique<SessionManager>(cell, tail_flush_slots(cell));
-  if (trace_ != nullptr) {
-    std::span<UserEndpoint> endpoints = manager_->endpoints();
-    for (std::size_t i = 0; i < endpoints.size(); ++i) {
-      endpoints[i].attach_trace(trace_.get(), i);
-    }
-  }
+  manager_ = std::make_unique<SessionManager>(cell, tail_flush_slots(cell), trace_);
   bs_ = std::make_unique<BaseStation>(capacity_profile(cell));
   const double backhaul = cell.backhaul_kbps > 0.0
                               ? cell.backhaul_kbps

@@ -7,7 +7,8 @@
 namespace jstream {
 
 SessionManager::SessionManager(const ScenarioConfig& cell,
-                               std::int64_t tail_flush_slots)
+                               std::int64_t tail_flush_slots,
+                               std::shared_ptr<const SignalTraceSet> trace)
     : endpoints_(build_endpoints(cell)),
       occupied_(cell.users, 0),
       drain_until_(cell.users, -1),
@@ -16,6 +17,11 @@ SessionManager::SessionManager(const ScenarioConfig& cell,
       tau_s_(cell.slot.tau_s),
       radio_(cell.radio) {
   require(tail_flush_slots_ >= 0, "tail flush window must be non-negative");
+  if (trace != nullptr) {
+    require(trace->users() == cell.users, "trace population mismatch");
+    require(trace->slots() >= cell.max_slots, "trace shorter than the horizon");
+  }
+  channels_ = attach_channels(endpoints_, std::move(trace), cell.max_slots);
   // All slots start free: parked as departed-before-start so the collector
   // reports them gone from slot 0 on. Popping from the back hands out low
   // ids first.

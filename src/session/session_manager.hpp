@@ -8,8 +8,12 @@
 // paper-invariant validator treats it as gone); binding an arriving session
 // rewrites the slot's session state in place (VideoSession, PlaybackBuffer,
 // RRC machine, start/departure slots) and bumps its session_epoch. The
-// channel substrate (SignalModel or trace row) belongs to the population
-// slot, never to the session, so campaign traces stay valid across rebinds.
+// channel substrate (a trace row) belongs to the population slot, never to
+// the session, so campaign traces stay valid across rebinds. Since no
+// scheduling decision feeds back into sig_i(n), a manager that is handed no
+// trace streams its own: a SignalTraceSet::stream over the population's
+// SignalModels that the shared pool fills one block ahead of the slot, so
+// the Information Collector only loads each slot's row.
 //
 // Quiescent slots touch nothing: scan_releases is a flag sweep over warm
 // arrays; binds and releases — the event boundaries — are the only places
@@ -17,10 +21,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "gateway/user_endpoint.hpp"
+#include "radio/signal_trace.hpp"
 #include "sim/scenario.hpp"
 #include "common/units.hpp"
 
@@ -33,8 +39,12 @@ class SessionManager {
   /// draw order keeps precomputed traces row-aligned — then parks every slot
   /// as free. `tail_flush_slots` is the drain window a completed session
   /// stays bound for so its RRC tail is charged (Eq. 4), matching the batch
-  /// Simulator's flush.
-  SessionManager(const ScenarioConfig& cell, std::int64_t tail_flush_slots);
+  /// Simulator's flush. `trace`, when given, is the population's channel
+  /// (same population, >= cell.max_slots slots); otherwise the manager
+  /// streams one over cell.max_slots slots (see the file comment). Every
+  /// endpoint reads its row of it.
+  SessionManager(const ScenarioConfig& cell, std::int64_t tail_flush_slots,
+                 std::shared_ptr<const SignalTraceSet> trace = nullptr);
 
   [[nodiscard]] std::span<UserEndpoint> endpoints() noexcept { return endpoints_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return endpoints_.size(); }
@@ -94,6 +104,7 @@ class SessionManager {
   void release(std::size_t id, std::int64_t slot);
 
   std::vector<UserEndpoint> endpoints_;
+  std::shared_ptr<const SignalTraceSet> channels_;  ///< every endpoint's rows
   std::vector<std::uint8_t> occupied_;
   std::vector<std::size_t> free_;          ///< stack of free slot ids
   std::vector<std::int64_t> drain_until_;  ///< tail-drain deadline, -1 = none

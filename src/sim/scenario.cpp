@@ -107,6 +107,8 @@ void validate(const ScenarioConfig& config) {
             "trace signal samples must be finite");
   }
   if (config.capacity_kind == CapacityKind::kSine) {
+    // +inf holds the capacity constant.
+    require(std::isfinite(config.capacity_wave_period), "capacity wave period must be finite");
     require(config.capacity_wave_fraction >= 0.0 && config.capacity_wave_fraction < 1.0,
             "capacity wave fraction must be in [0,1)");
     require(config.capacity_wave_period > 0.0, "capacity wave period must be positive");
@@ -148,6 +150,19 @@ std::vector<UserEndpoint> build_endpoints(const ScenarioConfig& config) {
                            config.slot.tau_s, start_slot);
   }
   return endpoints;
+}
+
+std::shared_ptr<const SignalTraceSet> attach_channels(
+    std::span<UserEndpoint> endpoints, std::shared_ptr<const SignalTraceSet> trace,
+    std::int64_t slots) {
+  if (trace == nullptr) {
+    std::vector<std::unique_ptr<SignalModel>> models;
+    models.reserve(endpoints.size());
+    for (UserEndpoint& endpoint : endpoints) models.push_back(std::move(endpoint.signal));
+    trace = SignalTraceSet::stream(std::move(models), slots);
+  }
+  for (std::size_t i = 0; i < endpoints.size(); ++i) endpoints[i].attach_trace(trace.get(), i);
+  return trace;
 }
 
 std::function<double(std::int64_t)> capacity_profile(const ScenarioConfig& config) {

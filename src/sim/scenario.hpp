@@ -7,6 +7,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "gateway/user_endpoint.hpp"
@@ -15,6 +17,7 @@
 #include "radio/link_model.hpp"
 #include "radio/radio_profile.hpp"
 #include "radio/signal_model.hpp"
+#include "radio/signal_trace.hpp"
 #include "sim/fault.hpp"
 #include "sim/forecast.hpp"
 
@@ -106,6 +109,15 @@ struct ScenarioConfig {
 /// Materializes the per-user endpoints (signal stream, session, buffer, RRC,
 /// arrival slot) deterministically from config.seed.
 [[nodiscard]] std::vector<UserEndpoint> build_endpoints(const ScenarioConfig& config);
+
+/// Gives a run's endpoints their channel: attaches endpoint i to row i of
+/// `trace` when one is given (the caller has checked that it covers the
+/// run), and otherwise of a SignalTraceSet::stream over `slots` slots that
+/// takes the endpoints' own SignalModels by move. Returns the set, which the
+/// caller keeps alive while it runs slots over the endpoints.
+[[nodiscard]] std::shared_ptr<const SignalTraceSet> attach_channels(
+    std::span<UserEndpoint> endpoints, std::shared_ptr<const SignalTraceSet> trace,
+    std::int64_t slots);
 
 /// Capacity profile S(n) in KB/s implied by the configuration.
 [[nodiscard]] std::function<double(std::int64_t)> capacity_profile(

@@ -56,11 +56,8 @@ Simulator::Simulator(ScenarioConfig config, std::unique_ptr<Scheduler> scheduler
 
 RunMetrics Simulator::run(bool keep_series) {
   std::vector<UserEndpoint> endpoints = build_endpoints(config_);
-  if (trace_ != nullptr) {
-    for (std::size_t i = 0; i < endpoints.size(); ++i) {
-      endpoints[i].attach_trace(trace_.get(), i);
-    }
-  }
+  const std::shared_ptr<const SignalTraceSet> channels =
+      attach_channels(endpoints, trace_, config_.max_slots);
   const BaseStation bs(capacity_profile(config_));
   InfoCollector collector(config_.slot, config_.link, config_.radio);
   const double backhaul = config_.backhaul_kbps > 0.0

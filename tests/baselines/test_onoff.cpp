@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "baselines/factory.hpp"
 #include "common/error.hpp"
 #include "test_helpers.hpp"
 
@@ -64,6 +67,24 @@ TEST(OnOff, RejectsBadWatermarksAndMissingReset) {
   OnOffScheduler scheduler;
   const SlotContext ctx = make_context({TestUser{}});
   EXPECT_THROW((void)decide(scheduler, ctx), Error);
+}
+
+// +inf passed the range checks and never switched a user off.
+TEST(OnOff, RejectsNonFiniteWatermarksByName) {
+  for (const double bad : testing::kNonFinite) {
+    SchedulerOptions high;
+    high.onoff_high_s = bad;
+    const std::string high_error =
+        testing::error_message([&] { (void)make_scheduler("onoff", high); });
+    EXPECT_NE(high_error.find("ON-OFF high watermark must be finite"), std::string::npos)
+        << "value " << bad << ": got \"" << high_error << "\"";
+    SchedulerOptions low;
+    low.onoff_low_s = bad;
+    const std::string low_error =
+        testing::error_message([&] { (void)make_scheduler("onoff", low); });
+    EXPECT_NE(low_error.find("ON-OFF low watermark must be finite"), std::string::npos)
+        << "value " << bad << ": got \"" << low_error << "\"";
+  }
 }
 
 }  // namespace

@@ -39,6 +39,22 @@ TEST(ThreadPool, DrainsAllTasksBeforeDestruction) {
   EXPECT_EQ(counter.load(), 200);
 }
 
+TEST(ThreadPool, QueueGrowsPastItsRingInPostOrder) {
+  // The one worker holds the first task, so every later post queues: the
+  // ring wraps, fills and grows with its head mid-array, and the tasks
+  // still start in the order they were posted.
+  std::vector<int> order;
+  std::latch release(1);  // outlives the pool, whose worker waits on it
+  {
+    ThreadPool pool(1);
+    pool.post([&release] { release.wait(); });
+    for (int i = 0; i < 300; ++i) pool.post([&order, i] { order.push_back(i); });
+    release.count_down();
+  }
+  ASSERT_EQ(order.size(), 300u);
+  for (int i = 0; i < 300; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
 TEST(ParallelFor, CoversAllIndicesExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(100);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "baselines/factory.hpp"
 #include "common/error.hpp"
 #include "sim/simulator.hpp"
@@ -115,6 +118,26 @@ TEST(AdaptiveRtma, RejectsInvalidConfig) {
   config.min_budget_mj = 10.0;
   config.max_budget_mj = 5.0;
   EXPECT_THROW(AdaptiveRtmaScheduler{config}, Error);
+}
+
+// Each +inf passed the range checks and ran to completion; a NaN target
+// surfaced only as the inner RTMA's unnamed budget error.
+TEST(AdaptiveRtma, RejectsNonFiniteFieldsByName) {
+  const std::pair<double AdaptiveRtmaConfig::*, const char*> fields[] = {
+      {&AdaptiveRtmaConfig::target_energy_mj, "adaptive RTMA target energy must be finite"},
+      {&AdaptiveRtmaConfig::max_step, "adaptive RTMA max step must be finite"},
+      {&AdaptiveRtmaConfig::min_budget_mj, "adaptive RTMA minimum budget must be finite"},
+      {&AdaptiveRtmaConfig::max_budget_mj, "adaptive RTMA maximum budget must be finite"}};
+  for (const auto& [field, message] : fields) {
+    for (const double bad : testing::kNonFinite) {
+      SchedulerOptions options;
+      options.rtma_adaptive.*field = bad;
+      const std::string error =
+          testing::error_message([&] { (void)make_scheduler("rtma-adaptive", options); });
+      EXPECT_NE(error.find(message), std::string::npos)
+          << "value " << bad << ": expected \"" << message << "\", got \"" << error << "\"";
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/error.hpp"
 #include "core/energy_threshold.hpp"
 #include "test_helpers.hpp"
@@ -107,6 +110,37 @@ TEST(Rtma, RejectsInvalidConfig) {
   bad_range.min_dbm = -50.0;
   bad_range.max_dbm = -110.0;
   EXPECT_THROW(RtmaScheduler{bad_range}, Error);
+}
+
+// +inf tail power ran to completion sending nothing; an infinite range end
+// failed only at the first Eq. 24 fit, naming no field.
+TEST(Rtma, RejectsNonFiniteFieldsByName) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const auto expect_rejected = [](const RtmaConfig& config, const std::string& message) {
+    const std::string error = testing::error_message([&] { (void)RtmaScheduler{config}; });
+    EXPECT_NE(error.find(message), std::string::npos)
+        << "expected \"" << message << "\", got \"" << error << "\"";
+  };
+  for (const double bad : {kInf, -kInf}) {
+    RtmaConfig config;
+    config.tail_power_mw = bad;
+    expect_rejected(config, "RTMA tail power must be finite");
+  }
+  for (const double bad : {kInf, -kInf, kNaN}) {
+    RtmaConfig min_end;
+    min_end.min_dbm = bad;
+    expect_rejected(min_end, "RTMA signal range minimum must be finite");
+    RtmaConfig max_end;
+    max_end.max_dbm = bad;
+    expect_rejected(max_end, "RTMA signal range maximum must be finite");
+  }
+  // The documented sentinels stay accepted: NaN tail power (the radio's tail
+  // average) and an infinite budget (no budget).
+  RtmaConfig sentinels;
+  sentinels.tail_power_mw = kNaN;
+  sentinels.energy_budget_mj = kInf;
+  EXPECT_NO_THROW(RtmaScheduler{sentinels});
 }
 
 TEST(Rtma, NameAndConfigAccessors) {

@@ -11,10 +11,12 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/default_scheduler.hpp"
 #include "baselines/factory.hpp"
+#include "common/thread_pool.hpp"
 #include "core/adaptive_rtma.hpp"
 #include "core/ema.hpp"
 #include "core/ema_fast.hpp"
@@ -324,6 +326,67 @@ TEST(ZeroAllocSlot, FillOnReadTraceAcrossBlocksIsAllocationFree) {
   ASSERT_EQ(trace->filled_slots(), SignalTraceSet::kFillBlockSlots);
   EXPECT_EQ(allocations_over_slots(framework, endpoints, bs, kWarmup, kMeasured), 0u);
   EXPECT_EQ(trace->filled_slots(), 3 * SignalTraceSet::kFillBlockSlots);
+}
+
+TEST(ZeroAllocStream, ServiceWindowAcrossBlocksIsAllocationFree) {
+  // A service cell with no trace streams its channel: at N = 1000 a block is
+  // 32 rows, so the measured window enters three new blocks and posts three
+  // look-aheads to the shared pool. The posts, the look-aheads' fills on
+  // the pool and the slot's row loads must allocate nothing. Every session
+  // binds in slot 0 and outlives the horizon, so no event boundary falls in
+  // the window either.
+  constexpr std::size_t kUsers = 1000;
+  ScenarioConfig cell = paper_scenario(kUsers, /*seed=*/79);
+  cell.max_slots = 200;
+  cell.video_min_mb = 5000.0;
+  cell.video_max_mb = 6000.0;
+  ServiceConfig config;
+  config.cell = cell;
+  config.arrivals.kind = ArrivalKind::kTrace;
+  config.arrivals.trace_counts = {checked_index(kUsers)};
+  ServiceSimulator simulator(config, std::make_unique<EmaScheduler>());
+  ASSERT_EQ(SignalTraceSet::stream_block_slots(kUsers), 32);
+
+  for (std::int64_t slot = 0; slot < 50; ++slot) (void)simulator.step();
+  ASSERT_EQ(simulator.active_sessions(), kUsers);
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (std::int64_t slot = 50; slot < 150; ++slot) (void)simulator.step();  // blocks 2, 3, 4
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
+}
+
+TEST(ZeroAllocStream, PostToAWarmPoolIsAllocationFree) {
+  // A stream's look-ahead captures one pointer and one index, which
+  // std::function keeps in place; the pool's queue is a ring that grows only
+  // when full. Once warm, a post allocates nothing.
+  constexpr std::int64_t kTasks = 100;
+  ThreadPool pool(2);
+  std::atomic<bool> hold{true};
+  std::atomic<std::int64_t> ran{0};
+  std::atomic<std::int64_t>* counter = &ran;
+  const auto post_tasks = [&] {
+    for (std::int64_t i = 0; i < kTasks; ++i) {
+      pool.post([counter, step = std::int64_t{1}] { counter->fetch_add(step); });
+    }
+  };
+  const auto wait_for = [&](std::int64_t target) {
+    while (ran.load() < target) std::this_thread::yield();
+  };
+  // Warm-up: every worker waits while all kTasks posts queue behind it, so
+  // the ring grows to hold the largest backlog the measured posts can make,
+  // however fast the workers drain them.
+  for (std::size_t w = 0; w < pool.size(); ++w) {
+    pool.post([&hold] {
+      while (hold.load()) std::this_thread::yield();
+    });
+  }
+  post_tasks();
+  hold.store(false);
+  wait_for(kTasks);
+
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  post_tasks();
+  wait_for(2 * kTasks);
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
 }
 
 // Paper scale, every factory scheduler: paper_scenario(40) built through

@@ -74,8 +74,8 @@ TEST_P(EmaSolverRealistic, GreedyTracksDpOnSimulationShapedCosts) {
 INSTANTIATE_TEST_SUITE_P(VSweep, EmaSolverRealistic,
                          ::testing::Values(0.005, 0.05, 0.5),
                          [](const auto& suite_info) {
-                           std::string name =
-                               "V" + std::to_string(suite_info.param);
+                           std::string name = "V";
+                           name += std::to_string(suite_info.param);
                            for (char& c : name) {
                              if (c == '.') c = '_';
                            }

@@ -5,16 +5,21 @@
 // incremental path read the exact same RNG stream in the exact same order.
 // A fill-on-read set must equal the eager generate byte for byte however its
 // rows are read, and fill no further than the block of the furthest row read.
+// So must a stream's rows, read in slot order while its look-ahead fills on
+// the shared pool, and a stream must refuse a read behind its reader's block.
 
 #include "radio/signal_trace.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -245,6 +250,118 @@ TEST(SignalTraceSet, FillFrontierStopsAtTheFurthestReadBlock) {
   // Complete sets report every row filled.
   EXPECT_EQ(eager_set(model_kinds().front().second)->filled_slots(), kFillSlots);
   EXPECT_EQ(SignalTraceSet(kFillUsers, kFillSlots).filled_slots(), kFillSlots);
+}
+
+// ---------------------------------------------------------------------------
+// Streams.
+// ---------------------------------------------------------------------------
+
+std::shared_ptr<const SignalTraceSet> stream_set(const ModelFactory& make) {
+  std::vector<std::unique_ptr<SignalModel>> models;
+  for (std::size_t user = 0; user < kFillUsers; ++user) models.push_back(make(user));
+  return SignalTraceSet::stream(std::move(models), kFillSlots);
+}
+
+TEST(SignalTraceSet, StreamBlockSizeFollowsTheByteBudget) {
+  EXPECT_EQ(SignalTraceSet::stream_block_slots(1), SignalTraceSet::kFillBlockSlots);
+  EXPECT_EQ(SignalTraceSet::stream_block_slots(kFillUsers), SignalTraceSet::kFillBlockSlots);
+  EXPECT_EQ(SignalTraceSet::stream_block_slots(1000), 32);  // 256 KB / 8000 B
+  EXPECT_EQ(SignalTraceSet::stream_block_slots(2048), 16);
+  EXPECT_EQ(SignalTraceSet::stream_block_slots(110000), 1);  // one row is 880 KB
+}
+
+TEST(SignalTraceSet, StreamReadsInSlotOrderEqualGenerate) {
+  const std::int64_t block = SignalTraceSet::stream_block_slots(kFillUsers);
+  ASSERT_GE(kFillSlots, 3 * block + 1);  // the reads cross at least 3 block boundaries
+  for (const auto& [kind, make] : model_kinds()) {
+    const auto eager = eager_set(make);
+    const auto stream = stream_set(make);
+    EXPECT_EQ(stream->filled_slots(), 0) << kind;  // nothing filled before the first read
+    EXPECT_EQ(stream->total_bytes(), 2 * checked_size(block) * kFillUsers * sizeof(double));
+    for (std::int64_t slot = 0; slot < kFillSlots; ++slot) {
+      ASSERT_TRUE(same_row(*stream, *eager, slot)) << kind << " slot " << slot;
+      // The look-ahead never runs past the end of the block after the reader's.
+      ASSERT_LE(stream->filled_slots(), std::min(kFillSlots, (slot / block + 2) * block))
+          << kind << " slot " << slot;
+      ASSERT_GT(stream->filled_slots(), slot) << kind << " slot " << slot;
+    }
+    // Rows of the reader's block stay readable, in any order.
+    EXPECT_EQ(stream->signal_dbm(0, kFillSlots - 2), eager->signal_dbm(0, kFillSlots - 2))
+        << kind;
+  }
+}
+
+TEST(SignalTraceSet, StreamJumpsForwardEqualGenerate) {
+  const std::int64_t block = SignalTraceSet::stream_block_slots(kFillUsers);
+  for (const auto& [kind, make] : model_kinds()) {
+    const auto eager = eager_set(make);
+    const auto stream = stream_set(make);
+    // Within a block, a jump over two blocks, back inside the new block,
+    // then the last row.
+    for (const std::int64_t slot : {std::int64_t{3}, std::int64_t{7}, 3 * block + 5,
+                                    3 * block + 1, 4 * block, kFillSlots - 1}) {
+      ASSERT_TRUE(same_row(*stream, *eager, slot)) << kind << " slot " << slot;
+    }
+    EXPECT_EQ(stream->filled_slots(), kFillSlots) << kind;
+  }
+}
+
+/// Waits (bounded) for a stream's look-ahead to publish `rows` rows.
+bool frontier_reaches(const SignalTraceSet& stream, std::int64_t rows) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (stream.filled_slots() < rows) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(SignalTraceSet, StreamLookAheadStopsAtTheEndOfTheNextBlock) {
+  // A reader that pauses after entering each block lets the look-ahead run
+  // as far as it will: it must stop at the end of the next block, so the
+  // reader's own block, which shares a ring half with the block after next,
+  // is never overwritten.
+  const std::int64_t block = SignalTraceSet::stream_block_slots(kFillUsers);
+  const auto make = model_kinds().front().second;
+  const auto eager = eager_set(make);
+  const auto stream = stream_set(make);
+  for (std::int64_t entered = 0; entered + 2 < kFillSlots / block; ++entered) {
+    ASSERT_TRUE(same_row(*stream, *eager, entered * block)) << "block " << entered;
+    ASSERT_TRUE(frontier_reaches(*stream, (entered + 2) * block)) << "block " << entered;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(stream->filled_slots(), (entered + 2) * block) << "block " << entered;
+    for (std::int64_t slot = entered * block + 1; slot < (entered + 1) * block; ++slot) {
+      ASSERT_TRUE(same_row(*stream, *eager, slot)) << "slot " << slot;
+    }
+  }
+}
+
+TEST(SignalTraceSet, StreamRefusesAReadBehindItsBlock) {
+  const std::int64_t block = SignalTraceSet::stream_block_slots(kFillUsers);
+  const auto stream = stream_set(model_kinds().front().second);
+  (void)stream->row(2);
+  (void)stream->row(block + 3);
+  (void)stream->row(block);  // earlier, but in the reader's block
+  try {
+    (void)stream->row(block - 1);
+    FAIL() << "a read behind the reader's block must throw";
+  } catch (const Error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("behind its reader"), std::string::npos) << what;
+    EXPECT_NE(what.find("slot " + std::to_string(block - 1)), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)stream->signal_dbm(0, 0), Error);
+  EXPECT_THROW((void)stream->row(kFillSlots), Error);
+  EXPECT_THROW((void)stream->signal_data(), Error);  // a stream holds no whole matrix
+}
+
+TEST(SignalTraceSet, StreamRejectsMissingModels) {
+  std::vector<std::unique_ptr<SignalModel>> models;
+  EXPECT_THROW((void)SignalTraceSet::stream(std::move(models), kFillSlots), Error);
+  std::vector<std::unique_ptr<SignalModel>> with_null;
+  with_null.push_back(std::make_unique<ConstantSignalModel>(-70.0));
+  with_null.push_back(nullptr);
+  EXPECT_THROW((void)SignalTraceSet::stream(std::move(with_null), kFillSlots), Error);
 }
 
 TEST(SignalTraceSet, FillOnReadRejectsMissingModels) {

@@ -7,7 +7,9 @@
 #include "analysis/invariant_checker.hpp"
 #include "baselines/factory.hpp"
 #include "common/error.hpp"
+#include "radio/signal_trace.hpp"
 #include "session/service.hpp"
+#include "sim/trace_cache.hpp"
 #include "telemetry/registry.hpp"
 #include "common/units.hpp"
 
@@ -207,6 +209,35 @@ TEST(ServiceSimulator, ValidateRejectsIllFormedConfigs) {
   ServiceConfig batch;
   batch.cell = service_cell();
   EXPECT_EQ(service_fingerprint(batch), 0u);
+}
+
+TEST(ServiceSimulator, StreamedRunEqualsTheEagerTraceRun) {
+  // With no trace the session manager streams the population's channel; the
+  // service digest must equal a run handed the eager generate's matrix,
+  // unfaulted and faulted, across several 32-row blocks at N = 1000.
+  for (const bool faulted : {false, true}) {
+    ServiceConfig config;
+    config.cell = paper_scenario(/*users=*/1000, /*seed=*/31);
+    config.cell.max_slots = 200;
+    config.cell.video_min_mb = 2.0;
+    config.cell.video_max_mb = 6.0;
+    config.arrivals.kind = ArrivalKind::kPoisson;
+    config.arrivals.rate_per_slot = 15.0;
+    config.warmup_slots = 20;
+    if (faulted) {
+      config.cell.faults.outage_rate_per_kslot = 8.0;
+      config.cell.faults.staleness_rate_per_kslot = 10.0;
+      config.cell.faults.departure_fraction = 0.5;
+    }
+    ASSERT_GT(config.cell.max_slots,
+              3 * SignalTraceSet::stream_block_slots(config.cell.users));
+    const ServiceResult streamed = simulate_service(config, make_scheduler("ema"));
+    const ServiceResult eager = simulate_service(config, make_scheduler("ema"), false,
+                                                 generate_signal_trace_set(config.cell));
+    EXPECT_GT(streamed.service.admitted, 0);
+    EXPECT_EQ(service_digest(streamed), service_digest(eager))
+        << (faulted ? "faulted" : "unfaulted");
+  }
 }
 
 TEST(ServiceSimulator, StepApiExposesLiveState) {

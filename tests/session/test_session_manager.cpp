@@ -1,14 +1,17 @@
 // SessionManager: stable-id recycling over a fixed population, bind/release
-// bookkeeping, the tail-drain window for completed sessions, and the shared
-// departure path for aborts.
+// bookkeeping, the tail-drain window for completed sessions, the shared
+// departure path for aborts, and the population's channel (a handed trace or
+// its own stream).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "common/error.hpp"
 #include "media/bitrate_profile.hpp"
 #include "session/session_manager.hpp"
+#include "sim/trace_cache.hpp"
 
 namespace jstream {
 namespace {
@@ -146,6 +149,34 @@ TEST(SessionManager, ReleasedSlotsAreReboundWithAFreshEpoch) {
   EXPECT_EQ(manager.endpoints()[id].session_epoch, first_epoch + 1);
   EXPECT_EQ(manager.endpoints()[id].start_slot, 6);
   EXPECT_FALSE(manager.endpoints()[id].departed(6));
+}
+
+TEST(SessionManager, StreamsItsChannelUnlessHandedATrace) {
+  const ScenarioConfig cell = small_cell();
+  SessionManager streamed(cell, kTailFlush);
+  const SignalTraceSet* stream = streamed.endpoints()[0].trace;
+  ASSERT_NE(stream, nullptr);
+  EXPECT_EQ(stream->slots(), cell.max_slots);
+  const std::shared_ptr<const SignalTraceSet> trace = generate_signal_trace_set(cell);
+  SessionManager traced(cell, kTailFlush, trace);
+  for (std::size_t i = 0; i < cell.users; ++i) {
+    EXPECT_EQ(streamed.endpoints()[i].trace, stream) << i;
+    EXPECT_EQ(streamed.endpoints()[i].trace_user, i) << i;
+    EXPECT_EQ(streamed.endpoints()[i].signal, nullptr) << i;  // moved into the stream
+    EXPECT_EQ(traced.endpoints()[i].trace, trace.get()) << i;
+    EXPECT_EQ(traced.endpoints()[i].trace_user, i) << i;
+  }
+  for (std::int64_t slot = 0; slot < cell.max_slots; ++slot) {
+    ASSERT_EQ(std::memcmp(stream->row(slot), trace->row(slot), cell.users * sizeof(double)), 0)
+        << "slot " << slot;
+  }
+
+  ScenarioConfig other = cell;
+  other.users += 1;
+  EXPECT_THROW(SessionManager(cell, kTailFlush, generate_signal_trace_set(other)), Error);
+  other = cell;
+  other.max_slots -= 1;
+  EXPECT_THROW(SessionManager(cell, kTailFlush, generate_signal_trace_set(other)), Error);
 }
 
 TEST(SessionManager, FillsToCapacityAndTracksMeanBitrate) {

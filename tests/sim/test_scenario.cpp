@@ -148,6 +148,23 @@ TEST(Scenario, NonFiniteSignalParamsAreRejected) {
       "Gauss-Markov mean must be finite");
 }
 
+// +inf flattened the sine to its midpoint and ran to completion.
+TEST(Scenario, NonFiniteSinePeriodIsRejected) {
+  expect_non_finite_rejected([](ScenarioConfig& c, double v) { c.signal.period_slots = v; },
+                             "sine period must be finite");
+}
+
+// +inf held a kSine capacity constant and ran to completion.
+TEST(Scenario, NonFiniteCapacityWavePeriodIsRejected) {
+  expect_non_finite_rejected(
+      [](ScenarioConfig& c, double v) {
+        c.capacity_kind = CapacityKind::kSine;
+        c.capacity_wave_fraction = 0.3;
+        c.capacity_wave_period = v;
+      },
+      "capacity wave period must be finite");
+}
+
 TEST(Scenario, NonFiniteCapacityIsRejected) {
   expect_non_finite_rejected([](ScenarioConfig& c, double v) { c.capacity_kbps = v; },
                              "capacity must be finite");

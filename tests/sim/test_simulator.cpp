@@ -8,7 +8,9 @@
 #include "baselines/factory.hpp"
 #include "common/error.hpp"
 #include "common/units.hpp"
+#include "radio/signal_trace.hpp"
 #include "sim/fault.hpp"
+#include "sim/trace_cache.hpp"
 #include "test_helpers.hpp"
 
 namespace jstream {
@@ -105,6 +107,31 @@ TEST(Simulator, SharedFaultScheduleRunsBitIdenticalToItsOwnDraw) {
   Simulator shared(config, make_scheduler("rtma"), SchedulingMode::kBaseline, nullptr,
                    schedule_for(config));
   EXPECT_EQ(metrics_digest(shared.run()), metrics_digest(own.run()));
+}
+
+TEST(Simulator, StreamedRunEqualsTheEagerTraceRun) {
+  // A run handed no trace streams its endpoints' own models through the
+  // shared pool; its digest must equal a run over the eager generate's
+  // matrix, unfaulted and faulted, at a population whose stream crosses
+  // several blocks (32 rows each at N = 1000).
+  for (const bool faulted : {false, true}) {
+    ScenarioConfig config = paper_scenario(/*users=*/1000, /*seed=*/9);
+    config.max_slots = 200;
+    config.early_stop = false;
+    if (faulted) {
+      config.faults.outage_rate_per_kslot = 10.0;
+      config.faults.staleness_rate_per_kslot = 15.0;
+      config.faults.departure_fraction = 0.3;
+      config.faults.capacity_rate_per_kslot = 5.0;
+    }
+    ASSERT_GT(config.max_slots, 3 * SignalTraceSet::stream_block_slots(config.users));
+    const RunMetrics streamed = simulate(config, make_scheduler("ema"), false);
+    const RunMetrics eager = simulate(config, make_scheduler("ema"), false,
+                                      generate_signal_trace_set(config));
+    EXPECT_EQ(streamed.slots_run, config.max_slots);
+    EXPECT_EQ(metrics_digest(streamed), metrics_digest(eager))
+        << (faulted ? "faulted" : "unfaulted");
+  }
 }
 
 TEST(Simulator, RejectsAFaultScheduleDrawnForAnotherScenario) {
